@@ -133,7 +133,7 @@ def test_every_delivery_assembles_into_one_rooted_tree(members, report_sink):
     assert collector is not None and collector.stats.lost_batches == 0
     assert collector.assembler.duplicates == 0
     for peer in deployment.peers.values():
-        assert peer.disttracer.rewrites_missed == 0, peer.peer_id
+        assert peer.tracer.rewrites_missed == 0, peer.peer_id
 
     by_origin = trees_by_origin(deployment)
 
@@ -239,7 +239,7 @@ def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
     )
     assert spans_exported == 0
     assert all(
-        not telemetry.disttracer(peer_id).recent()
+        not telemetry.tracer(peer_id).recent()
         for peer_id, telemetry in silent.telemetries.items()
     )
 

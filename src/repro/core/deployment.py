@@ -176,7 +176,6 @@ class RLNDeployment:
                     name,
                     network,
                     simulator,
-                    trace_capacity=collector.trace_capacity,
                     rules=rules,
                     slos=slos,
                     evaluation_interval=collector.evaluation_interval,
@@ -191,7 +190,6 @@ class RLNDeployment:
                     queue_limit=collector.queue_limit,
                     timeout=collector.timeout,
                     rounds=collector.rounds,
-                    max_traces_per_batch=collector.max_traces_per_batch,
                     max_spans_per_batch=collector.max_spans_per_batch,
                     # Alerting turns the push stream into the liveness
                     # heartbeat: idle ticks still send (empty) batches, so

@@ -149,14 +149,15 @@ class WakuRLNRelayPeer:
         )
         self.slasher = Slasher(peer_id, chain, contract.address)
         self.relay.set_validator(self._validate)
-        # Distributed tracing (PR 9): the pipeline above already minted
-        # this peer's DistTracer (simulator-clocked) through the hub.
+        # Distributed tracing: the pipeline above already minted this
+        # peer's (simulator-clocked) tracer through the hub; publish roots,
+        # relay-hop spans and evidence links all come from that one tracer.
         # The rewrite hook goes in whenever telemetry is live — inbound
         # contexts are honoured regardless of the *local* sampling rate
         # (head sampling: the root decides once) — and its first branch
         # returns untraced messages unchanged, so trace_sample=0.0 keeps
         # the relay path allocation-free and bit-identical.
-        self.disttracer = self.telemetry.disttracer(peer_id)
+        self.tracer = self.pipeline.tracer
         if self.telemetry.enabled:
             self.relay.set_trace_rewriter(self._rewrite_trace)
 
@@ -282,19 +283,19 @@ class WakuRLNRelayPeer:
                 f"(one message per {self.config.epoch_length}s epoch)"
             )
         message = self._build_message(payload, content_topic, epoch)
-        # Distributed tracing (PR 9): head-sample at the root.  A minted
-        # publish span rides the message as its SpanContext; every relay
-        # hop then becomes a child span on the receiving peer.  At
-        # trace_sample=0.0 ``span`` is None and the message is untouched.
-        span = self.disttracer.begin_publish()
-        if span is not None:
-            span.mark("proof")
-            message = message.with_trace(span.context)
+        # Distributed tracing: head-sample at the root.  A minted publish
+        # span rides the message as its SpanContext; every relay hop then
+        # becomes a child span on the receiving peer.  At
+        # trace_sample=0.0 ``trace`` is None and the message is untouched.
+        trace = self.tracer.begin_publish()
+        if trace is not None:
+            trace.mark("proof")
+            message = message.with_trace(trace.context)
         self._published_epochs[epoch] = count + 1
         self.stats.published += 1
         self.relay.publish(message)
-        if span is not None:
-            span.finish()
+        if trace is not None:
+            self.tracer.finish(trace)
         return message
 
     def _build_message(
@@ -377,9 +378,9 @@ class WakuRLNRelayPeer:
         payload = pubsub_message.payload
         if getattr(payload, "trace", None) is None:
             return pubsub_message
-        outbound = self.disttracer.outbound_context(pubsub_message.msg_id)
+        outbound = self.tracer.outbound_context(pubsub_message.msg_id)
         if outbound is None:
-            self.disttracer.rewrites_missed += 1
+            self.tracer.rewrites_missed += 1
         return dataclass_replace(
             pubsub_message, payload=payload.with_trace(outbound)
         )
@@ -397,16 +398,16 @@ class WakuRLNRelayPeer:
             # message, and the context the revocation coordinator's
             # commit-reveal span will chain from.
             parent = (
-                self.disttracer.outbound_context(msg_id)
+                self.tracer.outbound_context(msg_id)
                 if msg_id is not None
                 else None
             )
             if parent is not None:
                 now = self.simulator.now
-                ectx = self.disttracer.link(
+                ectx = self.tracer.link(
                     parent, kind="evidence", start=now, end=now
                 )
-                self.disttracer.set_revocation_context(
+                self.tracer.set_revocation_context(
                     (evidence.internal_nullifier.value, evidence.epoch), ectx
                 )
             for callback in list(self._spam_callbacks):
@@ -531,7 +532,6 @@ class WakuRLNRelayPeer:
         queue_limit: int = 16,
         timeout: float = 0.5,
         rounds: int = 2,
-        max_traces_per_batch: int = 32,
         max_spans_per_batch: int = 64,
         heartbeat: bool = False,
     ):
@@ -565,7 +565,6 @@ class WakuRLNRelayPeer:
                 queue_limit=queue_limit,
                 timeout=timeout,
                 rounds=rounds,
-                max_traces_per_batch=max_traces_per_batch,
                 max_spans_per_batch=max_spans_per_batch,
                 heartbeat=heartbeat,
             )

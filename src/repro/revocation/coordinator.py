@@ -142,12 +142,11 @@ class SlashingCoordinator:
         }
         self._m_gas = registry.counter("slashing_gas_spent_wei_total", peer=account)
         self._m_rewards = registry.counter("slashing_rewards_wei_total", peer=account)
+        #: Shared with the peer's protocol (same hub, same peer id), so
+        #: evidence contexts it registered under (nullifier, epoch) are
+        #: visible here and the commit-reveal race joins the spam
+        #: message's propagation tree.
         self._tracer = self.telemetry.tracer(account, clock=lambda: simulator.now)
-        #: Distributed tracing (PR 9): shared with the peer's protocol
-        #: (same hub, same peer id), so evidence contexts it registered
-        #: under (nullifier, epoch) are visible here and the commit-reveal
-        #: race joins the spam message's propagation tree.
-        self._dist = self.telemetry.disttracer(account)
         self._case_traces: dict[tuple[int, int], object] = {}
         self.cases: list[RevocationCase] = []
         self._case_by_key: dict[tuple[int, int], RevocationCase] = {}
@@ -180,15 +179,15 @@ class SlashingCoordinator:
         # Chain the commit-reveal span off the evidence span the
         # validation path registered for this case (if the verdict that
         # produced the evidence was traced).
-        ectx = self._dist.revocation_context(key)
+        ectx = self._tracer.revocation_context(key)
         if ectx is not None:
-            cctx = self._dist.link(
+            cctx = self._tracer.link(
                 ectx,
                 kind="commit-reveal",
                 start=observed_at,
                 end=self.simulator.now,
             )
-            self._dist.set_revocation_context(key, cctx)
+            self._tracer.set_revocation_context(key, cctx)
         case = RevocationCase(
             nullifier=key[0],
             epoch=key[1],
@@ -280,15 +279,15 @@ class SlashingCoordinator:
                 # evidence → on-chain deletion, and its context is re-keyed
                 # by leaf index so tree-sync observers (window collapse)
                 # can link exclusion spans without knowing the nullifier.
-                cctx = self._dist.revocation_context(key)
+                cctx = self._tracer.revocation_context(key)
                 if cctx is not None:
-                    rctx = self._dist.link(
+                    rctx = self._tracer.link(
                         cctx,
                         kind="member-removed",
                         start=case.evidence_at,
                         end=self.simulator.now,
                     )
-                    self._dist.set_revocation_context(
+                    self._tracer.set_revocation_context(
                         ("index", case.removed_index), rctx
                     )
                 for callback in list(self._removed_callbacks):

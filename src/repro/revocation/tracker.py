@@ -29,8 +29,12 @@ from typing import TYPE_CHECKING, Callable
 from repro.crypto.field import FieldElement
 from repro.net.simulator import Simulator
 from repro.telemetry import resolve as resolve_telemetry
-from repro.telemetry.disttrace import NULL_DISTTRACER
-from repro.telemetry.tracing import MEMBER_REMOVED, NULL_TRACE, WINDOW_COLLAPSE
+from repro.telemetry.tracing import (
+    MEMBER_REMOVED,
+    NULL_TRACE,
+    NULL_TRACER,
+    WINDOW_COLLAPSE,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.validator import RootAcceptor
@@ -47,7 +51,7 @@ class RevocationTracker:
         poll_interval: float = 0.05,
         telemetry=None,
         name: str = "revocation-tracker",
-        disttracer=None,
+        peer_tracer=None,
     ) -> None:
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
@@ -56,11 +60,11 @@ class RevocationTracker:
         self.telemetry = resolve_telemetry(telemetry)
         self._tracer = self.telemetry.tracer(name, clock=lambda: simulator.now)
         self._trace = None
-        #: Distributed tracing (PR 9): pass the *coordinator peer's*
-        #: tracer (``telemetry.disttracer(peer_id)``) so the final
-        #: window-collapse span chains off that peer's member-removed
-        #: span — the tracker itself owns no spans of the case.
-        self.disttracer = NULL_DISTTRACER if disttracer is None else disttracer
+        #: Distributed tracing: pass the *coordinator peer's* tracer
+        #: (``telemetry.tracer(peer_id)``) so the final window-collapse
+        #: span chains off that peer's member-removed span — the tracker
+        #: itself owns no spans of the case.
+        self.peer_tracer = NULL_TRACER if peer_tracer is None else peer_tracer
         self._dist_parent = None
         self.spam_detected_at: float | None = None
         self.removed_on_chain_at: float | None = None
@@ -84,7 +88,7 @@ class RevocationTracker:
             if self._trace is not None:
                 self._trace.mark(MEMBER_REMOVED)
             if case is not None and case.removed_index is not None:
-                self._dist_parent = self.disttracer.revocation_context(
+                self._dist_parent = self.peer_tracer.revocation_context(
                     ("index", case.removed_index)
                 )
 
@@ -134,7 +138,7 @@ class RevocationTracker:
         if self._dist_parent is not None and self.removed_on_chain_at is not None:
             # The off-chain half — tree sync fanning out the removal until
             # every view's window collapsed — as the trace's last span.
-            self.disttracer.link(
+            self.peer_tracer.link(
                 self._dist_parent,
                 kind="window-collapse",
                 start=self.removed_on_chain_at,

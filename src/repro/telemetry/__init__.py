@@ -1,14 +1,19 @@
 """Unified telemetry for the RLN-relay reproduction.
 
-One :class:`Telemetry` object per simulation run bundles the three
-surfaces the subsystems share:
+One :class:`Telemetry` object per simulation run (or per peer, when a
+collector is deployed) bundles the surfaces the subsystems share:
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` of interned
   Counter/Gauge/Histogram handles (``name{label=value}`` keys);
-* per-peer :class:`~repro.telemetry.tracing.Tracer` ring buffers minting
-  :class:`~repro.telemetry.tracing.TraceContext` objects that ride a
-  bundle from relay ingress to verdict (and evidence to network-wide
-  exclusion) stamping the *simulated* clock;
+* one :class:`~repro.telemetry.tracing.Tracer` per peer — the single
+  span model.  It mints the :class:`~repro.telemetry.tracing.TraceContext`
+  handles that ride a bundle from relay ingress to verdict (and evidence
+  to network-wide exclusion) stamping the *simulated* clock.  Every
+  finished bundle and revocation trace folds into the
+  ``trace_stage_seconds`` waterfall histograms, which are always
+  exported with the metrics.  Per-trace detail leaves a peer only
+  through head sampling (``trace_sample``): a sampled trace becomes one
+  :class:`SpanRecord` in the tracer's ring;
 * a :class:`~repro.telemetry.export.TelemetrySnapshot` exporter (JSON
   artifact + Prometheus text).
 
@@ -62,9 +67,6 @@ from repro.telemetry.tracing import (
     Tracer,
 )
 from repro.telemetry.disttrace import (
-    DistTracer,
-    NULL_DISTTRACER,
-    NullDistTracer,
     PropagationTree,
     SpanContext,
     SpanRecord,
@@ -101,7 +103,7 @@ from repro.telemetry.collector import CollectorOptions, CollectorPeer
 
 
 class Telemetry:
-    """The per-run telemetry hub: one registry, per-peer tracers."""
+    """The per-run telemetry hub: one registry, one tracer per peer."""
 
     enabled = True
 
@@ -109,51 +111,34 @@ class Telemetry:
         self, *, trace_capacity: int = 256, trace_sample: float = 0.0
     ) -> None:
         self.registry = MetricsRegistry()
+        #: Bound of each tracer's span ring.
         self.trace_capacity = trace_capacity
-        #: Head-sampling probability for *distributed* traces (PR 9).
-        #: 0.0 (default) mints no span contexts: zero wire overhead and
+        #: Head-sampling probability for distributed traces.  0.0
+        #: (default) mints no span contexts: zero wire overhead and
         #: bit-identical relay behaviour; the sampling RNG is per-peer
         #: and dedicated, so any rate perturbs nothing outside tracing.
         self.trace_sample = trace_sample
         self._tracers: dict[str, Tracer] = {}
-        self._disttracers: dict[str, DistTracer] = {}
 
     def tracer(
         self, peer_id: str, *, clock: Callable[[], float] | None = None
     ) -> Tracer:
-        """The (cached) tracer for ``peer_id``; first caller sets the clock."""
+        """The (cached) tracer for ``peer_id``; a later ``clock`` wins."""
         tracer = self._tracers.get(peer_id)
         if tracer is None:
             tracer = self._tracers[peer_id] = Tracer(
-                peer_id, self.registry, clock=clock, capacity=self.trace_capacity
-            )
-            tracer.dist = self.disttracer(peer_id, clock=clock)
-        elif clock is not None:
-            tracer.clock = clock
-            tracer.dist.clock = tracer.clock
-        return tracer
-
-    def tracers(self) -> dict[str, Tracer]:
-        return dict(self._tracers)
-
-    def disttracer(
-        self, peer_id: str, *, clock: Callable[[], float] | None = None
-    ) -> DistTracer:
-        """The (cached) distributed-span tracer for ``peer_id``."""
-        dist = self._disttracers.get(peer_id)
-        if dist is None:
-            dist = self._disttracers[peer_id] = DistTracer(
                 peer_id,
+                self.registry,
                 sample=self.trace_sample,
                 clock=clock,
                 capacity=self.trace_capacity,
             )
         elif clock is not None:
-            dist.clock = clock
-        return dist
+            tracer.clock = clock
+        return tracer
 
-    def disttracers(self) -> dict[str, DistTracer]:
-        return dict(self._disttracers)
+    def tracers(self) -> dict[str, Tracer]:
+        return dict(self._tracers)
 
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot.of(self.registry)
@@ -175,14 +160,6 @@ class NullTelemetry:
         return NULL_TRACER
 
     def tracers(self) -> dict[str, Tracer]:
-        return {}
-
-    def disttracer(
-        self, peer_id: str, *, clock: Callable[[], float] | None = None
-    ) -> NullDistTracer:
-        return NULL_DISTTRACER
-
-    def disttracers(self) -> dict[str, DistTracer]:
         return {}
 
     def snapshot(self) -> TelemetrySnapshot:
@@ -224,9 +201,6 @@ __all__ = [
     "select",
     "DEFAULT_BUCKETS",
     "DEFAULT_SAMPLE_CAPACITY",
-    "DistTracer",
-    "NULL_DISTTRACER",
-    "NullDistTracer",
     "PropagationTree",
     "SpanContext",
     "SpanRecord",

@@ -24,13 +24,19 @@ up as sequence gaps the collector counts instead of silently absorbing.
 The collector answers fleet questions the process-local registries
 cannot: :meth:`render_prometheus` re-renders the whole deployment's
 metrics as one text exposition, and :meth:`waterfall` rebuilds the
-per-stage trace waterfall (p50/p99 bucket estimates) network-wide, with
-recent :class:`~repro.telemetry.otlp.TraceRecord` exemplars in a bounded
-ring.
+per-stage trace waterfall (p50/p99 bucket estimates) network-wide.
+
+There is one span model.  The aggregate waterfall comes from the
+``trace_stage_seconds`` histograms every peer always exports; per-trace
+detail arrives only as head-sampled
+:class:`~repro.telemetry.disttrace.SpanRecord` entries, which the
+:attr:`~CollectorPeer.assembler` stitches into propagation trees and
+which also supply the waterfall's per-stage exemplars.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -52,7 +58,6 @@ from repro.telemetry.otlp import (
     MetricDelta,
     TELEMETRY_PROTOCOL,
     TELEMETRY_REPLY_PROTOCOL,
-    TraceRecord,
 )
 
 
@@ -69,15 +74,11 @@ class CollectorOptions:
     rounds: int = 2
     #: Stand up a second collector the exporters fail over to.
     backup: bool = False
-    #: Waterfall-exemplar bound per batch.
-    max_traces_per_batch: int = 32
-    #: Fleet exemplar ring capacity on each collector.
-    trace_capacity: int = 1024
-    #: Distributed-tracing head-sampling probability (PR 9).  0.0 keeps
-    #: the wire span-free and relay behaviour bit-identical; 1.0 traces
+    #: Distributed-tracing head-sampling probability.  0.0 keeps the
+    #: wire span-free and relay behaviour bit-identical; 1.0 traces
     #: every publish into a collector-assembled propagation tree.
     trace_sample: float = 0.0
-    #: Span bound per exported batch (cursor discipline like traces).
+    #: Span bound per exported batch (drop beyond, cursor advances).
     max_spans_per_batch: int = 64
     #: Alert rules / SLO burn-rate rules the collector evaluates on the
     #: simulated clock (PR 10).  Both default empty: no rule engine is
@@ -99,8 +100,7 @@ class CollectorStats:
 
     batches: int = 0
     metrics_applied: int = 0
-    traces: int = 0
-    #: Distributed-tracing spans folded into the assembler.
+    #: Head-sampled spans folded into the assembler.
     spans: int = 0
     #: Retransmissions (seq already folded) — acked, not re-applied.
     duplicates: int = 0
@@ -164,7 +164,6 @@ class CollectorPeer:
         network: Network,
         simulator: Simulator,
         *,
-        trace_capacity: int = 1024,
         rules: Sequence[AlertRule] = (),
         slos: Sequence[SLO] = (),
         evaluation_interval: float = 0.5,
@@ -195,14 +194,7 @@ class CollectorPeer:
             self._stop_evaluation = simulator.every(
                 evaluation_interval, self._evaluate
             )
-        #: Exemplar ring entries are (collector_seq, peer, record): the
-        #: monotone seq lets pollers resume where they left off instead
-        #: of re-reading the whole deque (see :meth:`recent_traces`).
-        self._traces: deque[tuple[int, str, TraceRecord]] = deque(
-            maxlen=trace_capacity
-        )
-        self._next_trace_seq = 1
-        #: Propagation-tree assembly from exported spans (PR 9).
+        #: Propagation-tree assembly from exported spans.
         self.assembler = TraceAssembler()
         network.register(peer_id, self._on_export, protocol=TELEMETRY_PROTOCOL)
 
@@ -258,10 +250,6 @@ class CollectorPeer:
         for delta in batch.metrics:
             fold_delta(state, delta)
         self.stats.metrics_applied += len(batch.metrics)
-        for trace in batch.traces:
-            self._traces.append((self._next_trace_seq, batch.peer, trace))
-            self._next_trace_seq += 1
-        self.stats.traces += len(batch.traces)
         for span in batch.spans:
             self.assembler.add(span)
         self.stats.spans += len(batch.spans)
@@ -376,46 +364,21 @@ class CollectorPeer:
         """Fleet liveness now: score, status counts, per-peer rows."""
         return self.health.report(self.simulator.now)
 
-    @property
-    def last_trace_seq(self) -> int:
-        """The newest exemplar's collector seq (a poller's next cursor)."""
-        return self._next_trace_seq - 1
-
-    def recent_traces(
-        self, kind: str | None = None, *, since_seq: int = 0
-    ) -> tuple[tuple[int, str, TraceRecord], ...]:
-        """Recent (seq, peer, trace) exemplars, oldest first.
-
-        ``since_seq`` returns only exemplars newer than a previously seen
-        collector seq, so a benchmark polling every interval reads each
-        exemplar once instead of re-scanning the whole deque.  The seq is
-        monotone across the ring's evictions: a poller that fell behind
-        sees the gap in the numbering.
-        """
-        items: "tuple[tuple[int, str, TraceRecord], ...]" = tuple(self._traces)
-        if since_seq > 0:
-            items = tuple(item for item in items if item[0] > since_seq)
-        if kind is not None:
-            items = tuple(item for item in items if item[2].kind == kind)
-        return items
-
     def waterfall(
         self,
         kind: str = "bundle",
         stages: tuple[str, ...] | None = None,
         *,
         exemplars: int = 0,
-        since_seq: int = 0,
     ) -> list[dict]:
         """Fleet-wide per-stage waterfall rows from the merged histograms.
 
         Quantiles are the snapshot's deterministic bucket estimates — the
         additive representation cannot carry exact order statistics
         across the wire; rows are ``{stage, count, p50, p90, p99, max}``.
-        ``exemplars > 0`` attaches up to that many per-stage exemplar
-        durations drawn from the newest trace records — filtered by
-        ``since_seq`` like :meth:`recent_traces`, so repeated polls don't
-        re-walk the whole exemplar ring.
+        ``exemplars > 0`` attaches up to that many per-stage durations,
+        the consecutive-mark deltas of the newest assembled relay spans
+        of ``kind`` (empty unless traces were head-sampled).
         """
         if stages is None:
             stages = (
@@ -423,13 +386,11 @@ class CollectorPeer:
                 if kind == "bundle"
                 else tracing.REVOCATION_STAGE_ORDER
             )
-        # deque(maxlen=exemplars) keeps only the newest N durations in
-        # O(1) per append (the list version popped the head each time —
-        # O(n²) across a large exemplar ring).
+        # deque(maxlen=exemplars) keeps only the newest N durations.
         stage_exemplars: dict[str, deque[float]] = {}
         if exemplars > 0:
-            for _seq, _peer, record in self.recent_traces(kind, since_seq=since_seq):
-                for (_, prev_t), (stage, t) in zip(record.marks, record.marks[1:]):
+            for span in self.assembler.relay_spans(kind):
+                for (_, prev_t), (stage, t) in itertools.pairwise(span.marks):
                     durations = stage_exemplars.get(stage)
                     if durations is None:
                         durations = stage_exemplars[stage] = deque(maxlen=exemplars)

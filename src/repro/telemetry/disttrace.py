@@ -1,10 +1,10 @@
-"""Cross-peer distributed tracing: causal propagation trees on the wire.
+"""The span wire model and the collector side of distributed tracing.
 
-PR 6's :class:`~repro.telemetry.tracing.TraceContext` measures one peer's
-stage waterfall; PR 7's collector merges those waterfalls — but nothing
-connects *this* peer's verdict to the upstream hop that forwarded the
-bundle.  This module is the W3C-traceparent analogue for the simulated
-fleet:
+One span model covers the whole fleet.  Every peer's
+:class:`~repro.telemetry.tracing.Tracer` mints the live
+:class:`~repro.telemetry.tracing.TraceContext` handles; this module holds
+what those handles turn into once they leave the peer, and how the
+collector puts them back together:
 
 * :class:`SpanContext` — the compact wire extension (128-bit trace id,
   the sender's 64-bit span id, the sender's hop count, the origin peer)
@@ -14,39 +14,29 @@ fleet:
   forwarding, so the receiver's span always points at the true causal
   parent (including mcache/IWANT re-serves, which serve the re-stamped
   copy).
-* :class:`DistTracer` — one peer's span mint.  ``begin_publish`` decides
-  **head sampling** once, at the root (probability ``sample``; the
-  decision rides the wire, downstream peers honour it regardless of
-  their own rate).  ``child`` hangs the peer's existing pipeline
-  ``TraceContext`` under the inbound hop; ``link`` attaches leaf spans
-  (witness fetches, the revocation evidence path) to any live context.
-  Sampling draws from a **dedicated** per-peer RNG — never the router's
-  — so enabling tracing perturbs no mesh shuffle, and ``sample=0.0``
-  mints nothing: zero wire bytes, bit-identical seed behaviour.
-* :class:`SpanRecord` — the finished-span wire type shipped in
-  :class:`~repro.telemetry.otlp.TelemetryBatch` (bounded per tick,
-  drop-oldest, per-tracer cursor — the same discipline as metric
-  deltas).
+* :class:`SpanRecord` — one finished span as shipped in
+  :class:`~repro.telemetry.otlp.TelemetryBatch`: a relay hop's full
+  stage-mark trail, a publish root, or a linked leaf (witness fetch,
+  evidence, revocation).  Only head-sampled traces produce records.
 * :class:`TraceAssembler` — the collector side: stitch per-peer spans
   into rooted :class:`PropagationTree` objects and answer the questions
   merged histograms cannot — per-hop latency, fan-out degree, duplicate
-  deliveries, the end-to-end critical path, and fleet p50/p99
-  publish→verdict latency *per assembled trace*.
+  deliveries, the end-to-end critical path, fleet p50/p99
+  publish→verdict latency *per assembled trace*, and the per-stage
+  waterfall exemplars the collector attaches to its histogram rows.
 
-Everything is self-contained (no imports from the rest of the telemetry
-package) so the wire layer in :mod:`repro.telemetry.otlp` can embed
-:class:`SpanRecord` without an import cycle.
+The module also owns the telemetry wire's string codec
+(:func:`_encode_str` / :func:`_decode_str`), which
+:mod:`repro.telemetry.otlp` reuses.  It imports nothing else from the
+telemetry package, so the wire layer can embed :class:`SpanRecord`
+without an import cycle.  Every decoder raises only
+:class:`~repro.errors.ProtocolError` on malformed bytes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import random
 import struct
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from repro.errors import ProtocolError
 
@@ -56,21 +46,35 @@ NO_PARENT = 0
 
 Marks = tuple[tuple[str, float], ...]
 
+_U16 = struct.Struct(">H")
+_STAMP = struct.Struct(">d")
+_RECORD_HEAD = struct.Struct(">QQQHdd")
+
+
+def _unpack(layout: struct.Struct, data: bytes, offset: int) -> tuple[tuple, int]:
+    """Bounds-checked ``unpack_from``: truncation is a ``ProtocolError``."""
+    end = offset + layout.size
+    if end > len(data):
+        raise ProtocolError(f"truncated: {layout.size} bytes needed at {offset}")
+    return layout.unpack_from(data, offset), end
+
 
 def _encode_str(value: str) -> bytes:
     data = value.encode("utf-8")
     if len(data) > 0xFFFF:
         raise ProtocolError(f"string too long for wire ({len(data)} bytes)")
-    return struct.pack(">H", len(data)) + data
+    return _U16.pack(len(data)) + data
 
 
 def _decode_str(data: bytes, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from(">H", data, offset)
-    offset += 2
+    (length,), offset = _unpack(_U16, data, offset)
     end = offset + length
     if end > len(data):
         raise ProtocolError("truncated string")
-    return data[offset:end].decode("utf-8"), end
+    try:
+        return data[offset:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"string is not UTF-8: {exc.reason}") from exc
 
 
 # -- wire types ---------------------------------------------------------------
@@ -125,9 +129,10 @@ class SpanRecord:
     """One finished span as exported to the collector.
 
     ``seq`` is the minting peer's local monotone counter (the exporter's
-    cursor key — ring eviction shows up as a ``seq`` gap, exactly like
-    :class:`~repro.telemetry.otlp.TraceRecord` ids); ``parent_id`` is
-    :data:`NO_PARENT` for a root publish span.
+    cursor key — ring eviction shows up as a ``seq`` gap); ``parent_id``
+    is :data:`NO_PARENT` for a root publish span.  ``marks`` is the
+    span's (stage, simulated-time) trail; consecutive-mark deltas are
+    its stage waterfall.
     """
 
     trace_id: int
@@ -149,37 +154,34 @@ class SpanRecord:
     def to_bytes(self) -> bytes:
         out = [
             self.trace_id.to_bytes(16, "big"),
-            struct.pack(">QQQHdd", self.span_id, self.parent_id, self.seq,
-                        self.hop, self.start, self.end),
+            _RECORD_HEAD.pack(self.span_id, self.parent_id, self.seq,
+                              self.hop, self.start, self.end),
             _encode_str(self.peer),
             _encode_str(self.origin),
             _encode_str(self.kind),
-            struct.pack(">H", len(self.marks)),
+            _U16.pack(len(self.marks)),
         ]
         for stage, stamp in self.marks:
             out.append(_encode_str(stage))
-            out.append(struct.pack(">d", stamp))
+            out.append(_STAMP.pack(stamp))
         return b"".join(out)
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["SpanRecord", int]:
-        if offset + 58 > len(data):
+        if offset + 16 > len(data):
             raise ProtocolError("truncated SpanRecord")
         trace_id = int.from_bytes(data[offset : offset + 16], "big")
-        span_id, parent_id, seq, hop, start, end = struct.unpack_from(
-            ">QQQHdd", data, offset + 16
+        (span_id, parent_id, seq, hop, start, end), offset = _unpack(
+            _RECORD_HEAD, data, offset + 16
         )
-        offset += 58
         peer, offset = _decode_str(data, offset)
         origin, offset = _decode_str(data, offset)
         kind, offset = _decode_str(data, offset)
-        (n_marks,) = struct.unpack_from(">H", data, offset)
-        offset += 2
+        (n_marks,), offset = _unpack(_U16, data, offset)
         marks = []
         for _ in range(n_marks):
             stage, offset = _decode_str(data, offset)
-            (stamp,) = struct.unpack_from(">d", data, offset)
-            offset += 8
+            (stamp,), offset = _unpack(_STAMP, data, offset)
             marks.append((stage, stamp))
         return (
             cls(
@@ -207,285 +209,6 @@ class SpanRecord:
 
     def byte_size(self) -> int:
         return len(self.to_bytes())
-
-
-@dataclass(frozen=True)
-class DistLink:
-    """A child span opened at relay ingress, closed by ``Tracer.finish``."""
-
-    trace_id: int
-    span_id: int
-    parent_id: int
-    hop: int
-    origin: str
-
-
-class PublishSpan:
-    """The root span handle: covers publish intent to mesh injection.
-
-    For a light member this spans the witness fetch too (the fetch rides
-    as a linked child), so the root's duration is the member-observed
-    publish cost.
-    """
-
-    __slots__ = ("_tracer", "trace_id", "span_id", "start", "marks", "_done")
-
-    def __init__(self, tracer: "DistTracer", trace_id: int, span_id: int) -> None:
-        self._tracer = tracer
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.start = tracer.clock()
-        self.marks: list[tuple[str, float]] = []
-        self._done = False
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            hop=0,
-            origin=self._tracer.peer_id,
-        )
-
-    def mark(self, stage: str) -> None:
-        self.marks.append((stage, self._tracer.clock()))
-
-    def finish(self) -> None:
-        if self._done:
-            return
-        self._done = True
-        self._tracer.record(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            parent_id=NO_PARENT,
-            kind="publish",
-            hop=0,
-            origin=self._tracer.peer_id,
-            start=self.start,
-            end=self._tracer.clock(),
-            marks=tuple(self.marks),
-        )
-
-
-class DistTracer:
-    """One peer's distributed-span mint, ring buffer, and route table."""
-
-    enabled = True
-
-    def __init__(
-        self,
-        peer_id: str,
-        *,
-        sample: float = 0.0,
-        clock: Callable[[], float] | None = None,
-        capacity: int = 256,
-        route_capacity: int = 4096,
-    ) -> None:
-        if not 0.0 <= sample <= 1.0:
-            raise ProtocolError(f"trace_sample must be in [0, 1], got {sample}")
-        self.peer_id = peer_id
-        self.sample = sample
-        self.clock: Callable[[], float] = clock or (lambda: 0.0)
-        # Dedicated sampling RNG: drawing from a shared router RNG would
-        # perturb mesh shuffles and break every bit-identity comparison.
-        self._rng = random.Random(
-            int.from_bytes(hashlib.sha256(peer_id.encode()).digest()[:8], "big")
-        )
-        self._mint = itertools.count()
-        self._seq = itertools.count()
-        self._ring: deque[SpanRecord] = deque(maxlen=capacity)
-        #: msg_id -> the context *this* peer forwards (its own span as
-        #: parent), written at ingress, read by the router's rewriter.
-        self._outbound: dict[bytes, SpanContext] = {}
-        self._outbound_order: deque[bytes] = deque()
-        self._route_capacity = route_capacity
-        #: Live revocation-case contexts, keyed by whatever the caller
-        #: uses to correlate (evidence case tuples, leaf indices).
-        self._revocations: dict[object, SpanContext] = {}
-        self._revocation_order: deque[object] = deque()
-        #: Contexts the rewriter could not resolve (route table evicted):
-        #: the trace is truncated rather than misattributed.
-        self.rewrites_missed = 0
-
-    # -- id minting ------------------------------------------------------------
-
-    def _mint_id(self, width: int) -> int:
-        seed = f"{self.peer_id}:{next(self._mint)}".encode()
-        return int.from_bytes(hashlib.sha256(seed).digest()[:width], "big") or 1
-
-    # -- span lifecycle ---------------------------------------------------------
-
-    def begin_publish(self) -> PublishSpan | None:
-        """Head-sampling decision + root span mint (None: not sampled)."""
-        if self.sample <= 0.0:
-            return None
-        if self.sample < 1.0 and self._rng.random() >= self.sample:
-            return None
-        return PublishSpan(self, self._mint_id(16), self._mint_id(8))
-
-    def child(self, parent: SpanContext, key: bytes | None = None) -> DistLink:
-        """Open the relay-hop child span and register the outbound route.
-
-        ``key`` (the pubsub msg id) is what the router's trace rewriter
-        resolves when forwarding: the stored context carries *this*
-        peer's new span id, so downstream spans attach to the true
-        causal parent.
-        """
-        span_id = self._mint_id(8)
-        link = DistLink(
-            trace_id=parent.trace_id,
-            span_id=span_id,
-            parent_id=parent.span_id,
-            hop=parent.child_hop(),
-            origin=parent.origin,
-        )
-        if key is not None:
-            if key not in self._outbound:
-                self._outbound_order.append(key)
-                if len(self._outbound_order) > self._route_capacity:
-                    self._outbound.pop(self._outbound_order.popleft(), None)
-            self._outbound[key] = SpanContext(
-                trace_id=link.trace_id,
-                span_id=span_id,
-                hop=link.hop,
-                origin=link.origin,
-            )
-        return link
-
-    def finish_child(self, link: DistLink, *, kind: str, marks: Iterable[tuple[str, float]]) -> None:
-        """Close a hop span from its pipeline trace's mark trail."""
-        marks = tuple(marks)
-        now = self.clock()
-        self.record(
-            trace_id=link.trace_id,
-            span_id=link.span_id,
-            parent_id=link.parent_id,
-            kind=kind,
-            hop=link.hop,
-            origin=link.origin,
-            start=marks[0][1] if marks else now,
-            end=marks[-1][1] if marks else now,
-            marks=marks,
-        )
-
-    def link(
-        self,
-        parent: SpanContext,
-        *,
-        kind: str,
-        start: float,
-        end: float,
-        marks: Marks = (),
-    ) -> SpanContext:
-        """Record a linked leaf span (witness fetch, evidence, …) and
-        return its context so follow-up work can chain further spans."""
-        span_id = self._mint_id(8)
-        self.record(
-            trace_id=parent.trace_id,
-            span_id=span_id,
-            parent_id=parent.span_id,
-            kind=kind,
-            hop=parent.hop,
-            origin=parent.origin,
-            start=start,
-            end=end,
-            marks=marks,
-        )
-        return SpanContext(
-            trace_id=parent.trace_id,
-            span_id=span_id,
-            hop=parent.hop,
-            origin=parent.origin,
-        )
-
-    def record(
-        self,
-        *,
-        trace_id: int,
-        span_id: int,
-        parent_id: int,
-        kind: str,
-        hop: int,
-        origin: str,
-        start: float,
-        end: float,
-        marks: Marks = (),
-    ) -> SpanRecord:
-        record = SpanRecord(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            seq=next(self._seq),
-            peer=self.peer_id,
-            origin=origin,
-            kind=kind,
-            hop=hop,
-            start=start,
-            end=end,
-            marks=marks,
-        )
-        self._ring.append(record)
-        return record
-
-    # -- routing ----------------------------------------------------------------
-
-    def outbound_context(self, key: bytes) -> SpanContext | None:
-        return self._outbound.get(key)
-
-    # -- revocation correlation --------------------------------------------------
-
-    def set_revocation_context(self, key: object, ctx: SpanContext) -> None:
-        if key not in self._revocations:
-            self._revocation_order.append(key)
-            if len(self._revocation_order) > 256:
-                self._revocations.pop(self._revocation_order.popleft(), None)
-        self._revocations[key] = ctx
-
-    def revocation_context(self, key: object) -> SpanContext | None:
-        return self._revocations.get(key)
-
-    # -- export -----------------------------------------------------------------
-
-    def recent(self) -> tuple[SpanRecord, ...]:
-        """The ring's contents, oldest first (the exporter's read path)."""
-        return tuple(self._ring)
-
-
-class NullDistTracer:
-    """The disabled twin: mints nothing, routes nothing, keeps nothing."""
-
-    enabled = False
-    sample = 0.0
-    peer_id = ""
-    rewrites_missed = 0
-    clock = staticmethod(lambda: 0.0)
-
-    def begin_publish(self) -> None:
-        return None
-
-    def child(self, parent: object, key: object = None) -> None:
-        return None
-
-    def finish_child(self, link: object, *, kind: str = "", marks: object = ()) -> None:
-        return None
-
-    def link(self, parent: object, **kwargs: object) -> None:
-        return None
-
-    def outbound_context(self, key: object) -> None:
-        return None
-
-    def set_revocation_context(self, key: object, ctx: object) -> None:
-        return None
-
-    def revocation_context(self, key: object) -> None:
-        return None
-
-    def recent(self) -> tuple[SpanRecord, ...]:
-        return ()
-
-
-NULL_DISTTRACER = NullDistTracer()
 
 
 # -- assembly (collector side) -------------------------------------------------
@@ -707,6 +430,17 @@ class TraceAssembler:
     def trees(self) -> list[PropagationTree]:
         found = (self.tree(trace_id) for trace_id in self.trace_ids())
         return [tree for tree in found if tree is not None]
+
+    def relay_spans(self, kind: str | None = None) -> list[SpanRecord]:
+        """Relay-hop spans of every assembled trace, oldest verdict first."""
+        spans = [
+            span
+            for tree in self.trees()
+            for span in tree.relay_spans()
+            if kind is None or span.kind == kind
+        ]
+        spans.sort(key=lambda span: (span.end, span.start, span.peer))
+        return spans
 
     # -- fleet latency ------------------------------------------------------------
 

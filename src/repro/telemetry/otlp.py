@@ -1,18 +1,15 @@
 """OTLP-style telemetry wire types: delta-temporality batches on the wire.
 
-PR 6 made telemetry *pull-only and process-local*: each peer holds its own
-registry and nothing aggregates across the fleet.  This module is the wire
-half of the push path — the shapes a
-:class:`~repro.telemetry.exporter.TelemetryExporter` sends over the
-simulated network's ``telemetry`` protocol channel and a
+These are the shapes a :class:`~repro.telemetry.exporter.TelemetryExporter`
+sends over the simulated network's ``telemetry`` protocol channel and a
 :class:`~repro.telemetry.collector.CollectorPeer` folds into a fleet
 snapshot:
 
 * :class:`TelemetryBatch` — one export interval's worth of metric deltas
-  and finished trace records, stamped with the peer's **resource
-  attributes** (peer id, role ``full``/``light``/``witness-provider``,
-  shard id) and a per-peer monotone ``seq`` so the collector can dedup
-  retransmissions and *see* drop-oldest losses as sequence gaps;
+  and finished spans, stamped with the peer's **resource attributes**
+  (peer id, role ``full``/``light``/``witness-provider``, shard id) and a
+  per-peer monotone ``seq`` so the collector can dedup retransmissions
+  and *see* drop-oldest losses as sequence gaps;
 * :class:`CounterDelta` / :class:`GaugeValue` / :class:`HistogramDelta` —
   the three instrument encodings.  Temporality follows OTLP: counters and
   histogram bucket/count fields travel as **deltas** (the additive fields,
@@ -21,20 +18,24 @@ snapshot:
   (replace-on-fold) so the collector's per-peer state reconstructs the
   peer's live snapshot *exactly* — the E17 fleet-equals-offline-merge
   assertion rests on this;
-* :class:`TraceRecord` — a finished :class:`~repro.telemetry.tracing
-  .TraceContext`'s mark trail, exported as waterfall exemplars (the
-  aggregated per-stage histograms ride the metric path, so the collector
-  never double-counts spans);
 * :class:`ExportRequest` / :class:`ExportAck` — the
   :class:`~repro.net.request.RequestDispatcher` envelope (request id for
   attempt matching, seq echo in the ack).
 
+There is one span model: the stage waterfall of every bundle and
+revocation trace rides the metric path as ``trace_stage_seconds``
+histogram deltas, and per-trace detail travels only as the head-sampled
+:class:`~repro.telemetry.disttrace.SpanRecord` entries of a batch.
+
 Every type serialises to bytes with the same conventions as the tree-sync
-and witness wire artefacts; the simulated network carries the dataclasses
-and bills ``byte_size() == len(to_bytes())``, so the E17 telemetry/relay
-byte ratio reflects honest wire cost (including re-sending the 33 default
-bucket bounds only when a histogram uses *non*-default buckets — the
-default set travels as a one-byte flag).
+and witness wire artefacts (strings via the shared codec in
+:mod:`repro.telemetry.disttrace`); decoders raise only
+:class:`~repro.errors.ProtocolError` on malformed bytes.  The simulated
+network carries the dataclasses and bills ``byte_size() ==
+len(to_bytes())``, so the E17 telemetry/relay byte ratio reflects honest
+wire cost (including re-sending the 33 default bucket bounds only when a
+histogram uses *non*-default buckets — the default set travels as a
+one-byte flag).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import ProtocolError
-from repro.telemetry.disttrace import SpanRecord
+from repro.telemetry.disttrace import SpanRecord, _decode_str, _encode_str
 from repro.telemetry.registry import DEFAULT_BUCKETS, metric_key
 
 #: Protocol channel export requests travel on (peer -> collector).
@@ -64,22 +65,6 @@ def labels_of(mapping: Mapping[str, str]) -> Labels:
 
 
 # -- primitive codecs ---------------------------------------------------------
-
-
-def _encode_str(value: str) -> bytes:
-    data = value.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise ProtocolError(f"string too long for wire ({len(data)} bytes)")
-    return struct.pack(">H", len(data)) + data
-
-
-def _decode_str(data: bytes, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from(">H", data, offset)
-    offset += 2
-    end = offset + length
-    if end > len(data):
-        raise ProtocolError("truncated string")
-    return data[offset:end].decode("utf-8"), end
 
 
 def _encode_labels(labels: Labels) -> bytes:
@@ -333,50 +318,12 @@ def compute_deltas(
     return tuple(deltas)
 
 
-# -- trace records ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One finished trace's mark trail (waterfall exemplar)."""
-
-    kind: str
-    origin: str
-    trace_id: int
-    marks: tuple[tuple[str, float], ...]
-
-    def to_bytes(self) -> bytes:
-        out = [
-            _encode_str(self.kind),
-            _encode_str(self.origin),
-            struct.pack(">QH", self.trace_id, len(self.marks)),
-        ]
-        for stage, stamp in self.marks:
-            out.append(_encode_str(stage))
-            out.append(struct.pack(">d", stamp))
-        return b"".join(out)
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["TraceRecord", int]:
-        kind, offset = _decode_str(data, offset)
-        origin, offset = _decode_str(data, offset)
-        trace_id, n_marks = struct.unpack_from(">QH", data, offset)
-        offset += 10
-        marks = []
-        for _ in range(n_marks):
-            stage, offset = _decode_str(data, offset)
-            (stamp,) = struct.unpack_from(">d", data, offset)
-            offset += 8
-            marks.append((stage, stamp))
-        return cls(kind=kind, origin=origin, trace_id=trace_id, marks=tuple(marks)), offset
-
-
 # -- batches ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TelemetryBatch:
-    """One export interval: resource attributes + metric deltas + traces.
+    """One export interval: resource attributes + metric deltas + spans.
 
     ``seq`` is per-peer monotone from 1; ``dropped_batches`` is the
     exporter's cumulative drop-oldest count at build time (loss
@@ -391,10 +338,8 @@ class TelemetryBatch:
     time: float
     dropped_batches: int
     metrics: tuple[MetricDelta, ...]
-    traces: tuple[TraceRecord, ...] = ()
-    #: Finished distributed-tracing spans (PR 9): bounded per tick and
-    #: cursor-drained exactly like ``traces``; empty (2 wire bytes) when
-    #: sampling is off.
+    #: Finished head-sampled spans: bounded per tick and cursor-drained;
+    #: empty (2 wire bytes) when sampling is off.
     spans: tuple[SpanRecord, ...] = ()
 
     def to_bytes(self) -> bytes:
@@ -408,9 +353,6 @@ class TelemetryBatch:
         ]
         for metric in self.metrics:
             out.append(metric.to_bytes())
-        out.append(struct.pack(">I", len(self.traces)))
-        for trace in self.traces:
-            out.append(trace.to_bytes())
         out.append(struct.pack(">H", len(self.spans)))
         for span in self.spans:
             out.append(span.to_bytes())
@@ -433,12 +375,6 @@ class TelemetryBatch:
                     raise ProtocolError(f"unknown metric tag {tag!r}")
                 metric, offset = decoder(data, offset + 1)
                 metrics.append(metric)
-            (n_traces,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            traces = []
-            for _ in range(n_traces):
-                trace, offset = TraceRecord.decode(data, offset)
-                traces.append(trace)
             (n_spans,) = struct.unpack_from(">H", data, offset)
             offset += 2
             spans = []
@@ -456,7 +392,6 @@ class TelemetryBatch:
                 time=time,
                 dropped_batches=dropped,
                 metrics=tuple(metrics),
-                traces=tuple(traces),
                 spans=tuple(spans),
             ),
             offset,

@@ -222,11 +222,9 @@ class WitnessClient:
             rounds=rounds,
         )
         self.telemetry = resolve_telemetry(telemetry)
-        #: Distributed tracing (PR 9): traced publishes link their
-        #: witness fetches into the propagation tree.
-        self.disttracer = self.telemetry.disttracer(
-            peer_id, clock=lambda: simulator.now
-        )
+        #: Distributed tracing: traced publishes link their witness
+        #: fetches into the propagation tree.
+        self.tracer = self.telemetry.tracer(peer_id, clock=lambda: simulator.now)
         registry = self.telemetry.registry
         self._m_fetch_rtt = registry.histogram(
             "witness_fetch_rtt_seconds", peer=peer_id
@@ -393,7 +391,7 @@ class WitnessClient:
             # delivery, failovers and retries included.
             self._m_fetch_rtt.observe(self.simulator.now - started_at)
             if trace is not None:
-                self.disttracer.link(
+                self.tracer.link(
                     trace,
                     kind="witness-fetch",
                     start=started_at,

@@ -78,30 +78,32 @@ class LightMember:
         synchronously and the message is built and published before this
         returns; a cold cache pays the fetch round trips first.
 
-        When the client's hub head-samples this publish (PR 9), the root
-        span covers witness acquisition through hand-off to ``publish``,
-        the fetch (if any) joins as a "witness-fetch" child span, and the
+        When the client's hub head-samples this publish, the root span
+        covers witness acquisition through hand-off to ``publish``, the
+        fetch (if any) joins as a "witness-fetch" child span, and the
         message carries the root context into the mesh.
         """
-        span = self.client.disttracer.begin_publish()
+        tracer = self.client.tracer
+        trace = tracer.begin_publish()
 
         def have_witness(proof: MerkleProof) -> None:
-            if span is not None:
-                span.mark("witness")
+            if trace is not None:
+                trace.mark("witness")
             message = self._build(payload, epoch, proof, content_topic)
-            if span is not None:
-                span.mark("proof")
-                message = message.with_trace(span.context)
+            if trace is not None:
+                trace.mark("proof")
+                message = message.with_trace(trace.context)
             publish(message)
-            if span is not None:
-                span.finish()
+            if trace is not None:
+                tracer.finish(trace)
             self.published += 1
             if on_published is not None:
                 on_published(message)
 
         def failed(failure: RequestFailure) -> None:
-            if span is not None:
-                span.finish()
+            if trace is not None:
+                trace.mark("witness-failed")
+                tracer.finish(trace)
             self.publish_failures += 1
             if on_error is not None:
                 on_error(failure)
@@ -114,7 +116,7 @@ class LightMember:
             have_witness,
             failed,
             expected_leaf=self.identity.pk,
-            trace=None if span is None else span.context,
+            trace=None if trace is None else trace.context,
         )
 
     def _build(

@@ -45,12 +45,12 @@ WITNESS_REPLY_PROTOCOL = "witness-reply"
 class WitnessRequest:
     """Ask for the authentication path of the leaf at global ``index``.
 
-    ``trace`` is an optional distributed-tracing span context (PR 9):
-    when a traced publish needs a witness fetch first, the request
-    carries the publish span so the server's serve span joins the same
-    propagation tree.  It rides as *trailing* bytes — an untraced
-    request encodes exactly the 16 bytes it always did, and old decoders
-    (``unpack_from``) simply ignore the extension.
+    ``trace`` is an optional distributed-tracing span context: when a
+    traced publish needs a witness fetch first, the request carries the
+    publish span so the server's serve span joins the same propagation
+    tree.  It rides as *trailing* bytes — an untraced request encodes
+    exactly the 16 bytes it always did.  Anything after the context is
+    rejected as malformed.
     """
 
     request_id: int
@@ -70,9 +70,9 @@ class WitnessRequest:
     def from_bytes(cls, data: bytes) -> "WitnessRequest":
         try:
             request_id, index = struct.unpack_from(">QQ", data, 0)
-            trace = SpanContext.decode(data, 16)[0] if len(data) > 16 else None
         except struct.error as exc:
             raise ProtocolError(f"malformed WitnessRequest: {exc}") from exc
+        trace = SpanContext.from_bytes(data[16:]) if len(data) > 16 else None
         return cls(request_id=request_id, index=index, trace=trace)
 
 

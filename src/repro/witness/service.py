@@ -90,9 +90,9 @@ class WitnessService:
         self.validator_stats = validator_stats
         self.stats = WitnessServiceStats()
         self.telemetry = resolve_telemetry(telemetry)
-        #: Distributed tracing (PR 9): traced witness requests get a
+        #: Distributed tracing: traced witness requests get a
         #: "witness-serve" span linked into the requester's trace.
-        self.disttracer = self.telemetry.disttracer(peer_id)
+        self.tracer = self.telemetry.tracer(peer_id)
         registry = self.telemetry.registry
         self._m_served = {
             kind: registry.counter("witness_served_total", peer=peer_id, kind=kind)
@@ -132,15 +132,15 @@ class WitnessService:
         The serve span (traced requests only) covers arrival → response
         dispatch, so executor queueing shows up as serve latency.
         """
-        arrival = self.disttracer.clock() if trace is not None else 0.0
+        arrival = self.tracer.clock() if trace is not None else 0.0
 
         def deliver(response: object) -> None:
             if trace is not None:
-                self.disttracer.link(
+                self.tracer.link(
                     trace,
                     kind="witness-serve",
                     start=arrival,
-                    end=self.disttracer.clock(),
+                    end=self.tracer.clock(),
                 )
             self.network.send(
                 self.peer_id, sender, response, protocol=WITNESS_REPLY_PROTOCOL

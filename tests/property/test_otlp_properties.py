@@ -1,9 +1,10 @@
 """Property-based tests for the fleet-telemetry wire path.
 
-Three algebraic claims the collector architecture rests on:
+Three algebraic claims the collector architecture rests on, plus one
+robustness claim:
 
 * **Wire identity** — every :class:`TelemetryBatch` built from valid
-  metric deltas and trace records survives ``to_bytes``/``from_bytes``
+  metric deltas and span records survives ``to_bytes``/``from_bytes``
   exactly, number types included (int deltas must stay ints or the
   collector's folds stop being exact integer arithmetic).
 * **Fold exactness** — cutting one peer's event stream at arbitrary
@@ -15,23 +16,28 @@ Three algebraic claims the collector architecture rests on:
   streams into a collector (each peer's own stream in order, streams
   arbitrarily merged — exactly what concurrent exporters produce)
   yields the same fleet snapshot.
+* **Decoders fail closed** — arbitrary bytes, and truncated, extended or
+  byte-mutated valid encodings, only ever make the telemetry and trace
+  wire decoders raise :class:`~repro.errors.ProtocolError`.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ProtocolError
 from repro.telemetry import MetricsRegistry, TelemetrySnapshot
 from repro.telemetry.collector import fold_delta
-from repro.telemetry.disttrace import SpanRecord
+from repro.telemetry.disttrace import SpanContext, SpanRecord
 from repro.telemetry.export import TelemetrySnapshot as Snapshot
 from repro.telemetry.otlp import (
     CounterDelta,
+    ExportRequest,
     GaugeValue,
     HistogramDelta,
     TelemetryBatch,
-    TraceRecord,
     compute_deltas,
 )
+from repro.witness.messages import WitnessRequest
 
 label_text = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
@@ -74,16 +80,6 @@ histogram_deltas = st.builds(
         lambda bounds: tuple(sorted(bounds))
     ),
 )
-trace_records = st.builds(
-    TraceRecord,
-    kind=st.sampled_from(("bundle", "revocation")),
-    origin=label_text,
-    trace_id=st.integers(min_value=0, max_value=2**50),
-    marks=st.lists(
-        st.tuples(st.sampled_from(("ingress", "verdict", "pairing")), finite),
-        max_size=4,
-    ).map(tuple),
-)
 span_records = st.builds(
     SpanRecord,
     trace_id=st.integers(min_value=0, max_value=2**128 - 1),
@@ -114,7 +110,6 @@ batches = st.builds(
     metrics=st.lists(
         counter_deltas | gauge_values | histogram_deltas, max_size=6
     ).map(tuple),
-    traces=st.lists(trace_records, max_size=3).map(tuple),
     spans=st.lists(span_records, max_size=3).map(tuple),
 )
 
@@ -139,6 +134,63 @@ def test_span_record_wire_round_trip_identity(record):
     # the same representation Python floats use).
     assert decoded.start == record.start and decoded.end == record.end
     assert decoded.byte_size() == record.byte_size()
+
+
+# -- decoders raise only ProtocolError ------------------------------------------
+
+u64 = st.integers(min_value=0, max_value=2**64 - 1)
+span_contexts = st.builds(
+    SpanContext,
+    trace_id=st.integers(min_value=0, max_value=2**128 - 1),
+    span_id=u64,
+    hop=st.integers(min_value=0, max_value=2**16 - 1),
+    origin=label_text,
+)
+#: Wire type -> (strict decoder, strategy of valid values).
+WIRE_TYPES = {
+    "SpanContext": (SpanContext.from_bytes, span_contexts),
+    "SpanRecord": (SpanRecord.from_bytes, span_records),
+    "TelemetryBatch": (TelemetryBatch.from_bytes, batches),
+    "ExportRequest": (
+        ExportRequest.from_bytes,
+        st.builds(ExportRequest, request_id=u64, batch=batches),
+    ),
+    "WitnessRequest": (
+        WitnessRequest.from_bytes,
+        st.builds(
+            WitnessRequest,
+            request_id=u64,
+            index=u64,
+            trace=st.none() | span_contexts,
+        ),
+    ),
+}
+
+
+@st.composite
+def corrupted(draw, values) -> bytes:
+    """A valid encoding, truncated, extended, or with bytes overwritten."""
+    data = bytearray(draw(values).to_bytes())
+    how = draw(st.sampled_from(("truncate", "extend", "mutate")))
+    if how == "truncate":
+        return bytes(data[: draw(st.integers(0, max(0, len(data) - 1)))])
+    if how == "extend":
+        return bytes(data) + draw(st.binary(min_size=1, max_size=8))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_decoders_raise_only_protocol_error(data):
+    name = data.draw(st.sampled_from(sorted(WIRE_TYPES)), label="type")
+    decode, values = WIRE_TYPES[name]
+    raw = data.draw(st.binary(max_size=96) | corrupted(values), label="bytes")
+    try:
+        decode(raw)
+    except ProtocolError:
+        pass
 
 
 # -- fold exactness at arbitrary cut points -----------------------------------

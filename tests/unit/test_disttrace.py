@@ -1,9 +1,12 @@
-"""Unit tests for cross-peer distributed tracing (PR 9).
+"""Unit tests for cross-peer distributed tracing: the one span model.
 
 The load-bearing guarantees:
 
 * :class:`SpanContext` / :class:`SpanRecord` round-trip the wire exactly
   and reject trailing bytes;
+* a pipeline trace *is* its relay-hop span: one :class:`Tracer` per
+  peer, one ring, and a trace leaves the peer as exactly one
+  :class:`SpanRecord` only when it is head-sampled;
 * head sampling is decided once at the root: ``sample=0.0`` mints
   nothing (and costs nothing on the message), downstream peers honour an
   inbound context regardless of their own rate, and the sampling RNG is
@@ -11,37 +14,41 @@ The load-bearing guarantees:
 * the relay rewrite hook re-stamps contexts with the forwarding peer's
   own span, strips (never misattributes) when the route table lost the
   entry, and leaves untraced messages untouched;
-* the exporter drains spans with the same cursor discipline as traces —
-  ring eviction racing the cursor surfaces as ``spans_missed`` /
-  ``traces_missed``, bounded batches as ``spans_truncated`` — and
-  ``close()`` rescues cursor-stranded traces/spans with
-  ``close_flush_*`` accounting (satellite: shutdown strands nothing);
+* the exporter drains spans with a per-tracer cursor — ring eviction
+  racing the cursor surfaces as ``spans_missed``, bounded batches as
+  ``spans_truncated`` — and ``close()`` rescues cursor-stranded spans
+  with ``close_flush_*`` accounting (shutdown strands nothing);
 * the collector's :class:`TraceAssembler` stitches rooted trees, flags
   incompleteness, dedups retransmissions, and answers fan-out /
   duplicate-delivery / critical-path / quantile questions;
-* ``recent_traces`` / ``waterfall`` honour ``since_seq`` so pollers
-  resume from a cursor instead of re-reading the ring.
+* in a deployment, one honest publish exports one span per validating
+  peer plus the publish root and nothing else, and the collector's
+  waterfall exemplars are the marks of the assembled relay spans.
 """
 
+import dataclasses
+import itertools
 import random
 
 import pytest
 
+from repro.core.config import RLNConfig
+from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-from repro.telemetry import Telemetry
+from repro.telemetry import CollectorOptions, MetricsRegistry, Telemetry
 from repro.telemetry.collector import CollectorPeer
 from repro.telemetry.disttrace import (
     NO_PARENT,
-    DistTracer,
     SpanContext,
     SpanRecord,
     TraceAssembler,
 )
 from repro.telemetry.exporter import TelemetryExporter
+from repro.telemetry.tracing import Tracer
 from repro.telemetry.otlp import TelemetryBatch
 from repro.witness.messages import WitnessRequest
 
@@ -50,6 +57,10 @@ def make_context(**overrides) -> SpanContext:
     values = dict(trace_id=7 << 64, span_id=11, hop=2, origin="peer-000")
     values.update(overrides)
     return SpanContext(**values)
+
+
+def make_tracer(peer_id: str = "peer-001", **kwargs) -> Tracer:
+    return Tracer(peer_id, MetricsRegistry(), **kwargs)
 
 
 def make_span(
@@ -92,6 +103,9 @@ def test_witness_request_trace_rides_as_trailing_bytes():
     decoded = WitnessRequest.from_bytes(traced.to_bytes())
     assert decoded == traced and decoded.trace == traced.trace
     assert traced.byte_size() == 16 + traced.trace.byte_size()
+    # Nothing may trail the context: it is the last field on the wire.
+    with pytest.raises(ProtocolError):
+        WitnessRequest.from_bytes(traced.to_bytes() + b"\x00")
 
 
 # -- head sampling ------------------------------------------------------------
@@ -99,19 +113,19 @@ def test_witness_request_trace_rides_as_trailing_bytes():
 
 def test_sample_zero_mints_nothing_and_one_always_mints():
     sim = Simulator()
-    off = DistTracer("peer-000", sample=0.0, clock=lambda: sim.now)
+    off = make_tracer("peer-000", sample=0.0, clock=lambda: sim.now)
     assert off.begin_publish() is None and off.recent() == ()
-    on = DistTracer("peer-000", sample=1.0, clock=lambda: sim.now)
+    on = make_tracer("peer-000", sample=1.0, clock=lambda: sim.now)
     span = on.begin_publish()
     assert span is not None and span.context.hop == 0
     with pytest.raises(ProtocolError):
-        DistTracer("peer-000", sample=1.5)
+        make_tracer("peer-000", sample=1.5)
 
 
 def test_sampling_rng_is_deterministic_per_peer():
     def draws() -> tuple[bool, ...]:
-        dist = DistTracer("peer-007", sample=0.5)
-        return tuple(dist.begin_publish() is not None for _ in range(20))
+        tracer = make_tracer("peer-007", sample=0.5)
+        return tuple(tracer.begin_publish() is not None for _ in range(20))
 
     decisions = [draws(), draws()]
     assert decisions[0] == decisions[1]
@@ -121,34 +135,37 @@ def test_sampling_rng_is_deterministic_per_peer():
 def test_downstream_child_ignores_local_sample_rate():
     # Head sampling: the root's decision rides the wire; a peer whose own
     # rate is 0.0 still opens child spans for inbound traced messages.
-    dist = DistTracer("peer-001", sample=0.0)
-    link = dist.child(make_context(hop=0), key=b"m1")
-    dist.finish_child(link, kind="bundle", marks=[("verdict", 1.0)])
-    assert len(dist.recent()) == 1
-    assert dist.recent()[0].hop == 1
+    tracer = make_tracer(sample=0.0)
+    trace = tracer.begin("bundle", parent=make_context(hop=0), key=b"m1")
+    trace.mark("verdict")
+    tracer.finish(trace)
+    assert len(tracer.recent()) == 1
+    assert tracer.recent()[0].hop == 1
 
 
 # -- child spans & the route table --------------------------------------------
 
 
 def test_child_registers_outbound_context_with_own_span_id():
-    dist = DistTracer("peer-001", sample=0.0)
+    tracer = make_tracer(sample=0.0)
     parent = make_context(hop=0, span_id=99)
-    link = dist.child(parent, key=b"m1")
-    outbound = dist.outbound_context(b"m1")
+    trace = tracer.begin("bundle", parent=parent, key=b"m1")
+    outbound = tracer.outbound_context(b"m1")
     assert outbound is not None
-    assert outbound.span_id == link.span_id != parent.span_id
+    assert outbound == trace.context
+    assert outbound.span_id == trace.span_id != parent.span_id
+    assert trace.parent_id == parent.span_id
     assert outbound.hop == 1 and outbound.trace_id == parent.trace_id
-    assert dist.outbound_context(b"other") is None
+    assert tracer.outbound_context(b"other") is None
 
 
 def test_route_table_is_bounded_drop_oldest():
-    dist = DistTracer("peer-001", route_capacity=2)
+    tracer = make_tracer(route_capacity=2)
     parent = make_context(hop=0)
     for key in (b"a", b"b", b"c"):
-        dist.child(parent, key=key)
-    assert dist.outbound_context(b"a") is None
-    assert dist.outbound_context(b"c") is not None
+        tracer.begin("bundle", parent=parent, key=key)
+    assert tracer.outbound_context(b"a") is None
+    assert tracer.outbound_context(b"c") is not None
 
 
 # -- exporter cursor discipline ------------------------------------------------
@@ -172,9 +189,8 @@ def build_fleet(**telemetry_kwargs):
 
 def test_exporter_drains_spans_once_each():
     sim, telemetry, exporter, collector = build_fleet(trace_sample=1.0)
-    dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
-    span = dist.begin_publish()
-    span.finish()
+    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
+    tracer.finish(tracer.begin_publish())
     exporter.export()
     sim.run_until_idle()
     assert exporter.stats.spans_exported == 1
@@ -192,9 +208,9 @@ def test_span_ring_eviction_racing_cursor_counts_spans_missed():
     sim, telemetry, exporter, collector = build_fleet(
         trace_sample=1.0, trace_capacity=2
     )
-    dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
+    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
     for _ in range(5):
-        dist.begin_publish().finish()
+        tracer.finish(tracer.begin_publish())
     exporter.export()
     sim.run_until_idle()
     assert exporter.stats.spans_missed == 3  # seqs 0-2 evicted unseen
@@ -203,22 +219,25 @@ def test_span_ring_eviction_racing_cursor_counts_spans_missed():
 
 
 def test_trace_ring_eviction_racing_cursor_counts_traces_missed():
-    sim, telemetry, exporter, _ = build_fleet(trace_capacity=2)
+    # A relay-hop trace is its span: pipeline traces share the one ring,
+    # so their eviction is counted exactly like any other span's.
+    sim, telemetry, exporter, collector = build_fleet(trace_capacity=2)
     tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
     for _ in range(5):
-        tracer.finish(tracer.begin("bundle"))
+        tracer.finish(tracer.begin("bundle", parent=make_context(hop=0)))
     exporter.export()
     sim.run_until_idle()
-    assert exporter.stats.traces_missed == 3
-    assert exporter.stats.traces_exported == 2
+    assert exporter.stats.spans_missed == 3
+    assert exporter.stats.spans_exported == 2
+    assert collector.stats.spans == 2
 
 
 def test_spans_over_batch_bound_truncate_but_cursor_advances():
     sim, telemetry, exporter, _ = build_fleet(trace_sample=1.0)
     exporter.max_spans_per_batch = 2
-    dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
+    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
     for _ in range(5):
-        dist.begin_publish().finish()
+        tracer.finish(tracer.begin_publish())
     exporter.export()
     sim.run_until_idle()
     assert exporter.stats.spans_exported == 2
@@ -231,22 +250,20 @@ def test_spans_over_batch_bound_truncate_but_cursor_advances():
 
 
 def test_close_flushes_cursor_stranded_traces_and_spans():
-    # Satellite 1: a peer shutting down mid-interval must not strand
-    # finished traces/spans behind the cursors; close() proves the
-    # rescue in close_flush_* and the collector actually receives them.
+    # A peer shutting down mid-interval must not strand finished spans
+    # (a relay-hop trace and a publish root) behind the cursor; close()
+    # proves the rescue in close_flush_* and the collector receives them.
     sim, telemetry, exporter, collector = build_fleet(trace_sample=1.0)
     tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
-    dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     exporter.export()  # a normal tick first (baseline cursors)
     sim.run_until_idle()
-    tracer.finish(tracer.begin("bundle"))
-    dist.begin_publish().finish()
+    tracer.finish(tracer.begin("bundle", parent=make_context(hop=0)))
+    tracer.finish(tracer.begin_publish())
     exporter.close()
     sim.run_until_idle()
     assert exporter.stats.close_flush_batches == 1
-    assert exporter.stats.close_flush_traces == 1
-    assert exporter.stats.close_flush_spans == 1
-    assert collector.stats.traces == 1 and collector.stats.spans == 1
+    assert exporter.stats.close_flush_spans == 2
+    assert collector.stats.spans == 2
     # Idempotent: nothing new, nothing rescued twice.
     exporter.close()
     sim.run_until_idle()
@@ -260,13 +277,13 @@ def test_batch_spans_field_round_trips_and_is_two_bytes_when_empty():
     spans = (make_span(), make_span(span_id=3, parent_id=2, seq=1, hop=1))
     with_spans = TelemetryBatch(
         peer="p", role="full", shard=-1, seq=1, time=0.0,
-        dropped_batches=0, metrics=(), traces=(), spans=spans,
+        dropped_batches=0, metrics=(), spans=spans,
     )
     decoded = TelemetryBatch.from_bytes(with_spans.to_bytes())
     assert decoded.spans == spans
     without = TelemetryBatch(
         peer="p", role="full", shard=-1, seq=1, time=0.0,
-        dropped_batches=0, metrics=(), traces=(),
+        dropped_batches=0, metrics=(),
     )
     span_bytes = len(with_spans.to_bytes()) - len(without.to_bytes())
     assert span_bytes == sum(s.byte_size() for s in spans)
@@ -356,39 +373,79 @@ def test_duplicate_delivery_detection():
     assert tree.duplicate_deliveries == 1  # peer-001 judged it twice
 
 
-# -- collector since_seq cursors ----------------------------------------------
+# -- the single span stream through a deployment -------------------------------
 
 
-def test_recent_traces_since_seq_resumes_from_cursor():
-    sim, telemetry, exporter, collector = build_fleet()
-    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
-    tracer.finish(tracer.begin("bundle"))
-    exporter.export()
-    sim.run_until_idle()
-    first = collector.recent_traces("bundle")
-    assert len(first) == 1
-    cursor = collector.last_trace_seq
-    assert collector.recent_traces("bundle", since_seq=cursor) == ()
-    tracer.finish(tracer.begin("bundle"))
-    exporter.export()
-    sim.run_until_idle()
-    fresh = collector.recent_traces("bundle", since_seq=cursor)
-    assert len(fresh) == 1 and fresh[0][0] == cursor + 1
-
-
-def test_waterfall_exemplars_honour_since_seq():
-    sim, telemetry, exporter, collector = build_fleet()
-    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
-    trace = tracer.begin("bundle")
-    sim.run(sim.now + 0.002)
-    trace.mark("verdict")
-    tracer.finish(trace)
-    exporter.export()
-    sim.run_until_idle()
-    rows = collector.waterfall("bundle", stages=("verdict",), exemplars=4)
-    assert rows and len(rows[0]["exemplars"]) == 1
-    cursor = collector.last_trace_seq
-    rows = collector.waterfall(
-        "bundle", stages=("verdict",), exemplars=4, since_seq=cursor
+def traced_deployment(trace_sample: float) -> RLNDeployment:
+    deployment = RLNDeployment.create(
+        peer_count=5,
+        degree=3,
+        seed=12,
+        config=RLNConfig(tree_depth=8),
+        collector=CollectorOptions(trace_sample=trace_sample),
     )
-    assert rows[0]["exemplars"] == ()  # already polled; histogram remains
+    deployment.register_all()
+    deployment.form_meshes()
+    deployment.peers["peer-000"].publish(b"one-span-model")
+    deployment.run(5.0)
+    deployment.flush_telemetry()
+    return deployment
+
+
+def test_one_span_per_validating_peer_plus_the_publish_root():
+    deployment = traced_deployment(1.0)
+    collector = deployment.collector
+    assert deployment.delivery_count(b"one-span-model") == 5
+    # Batches carry metric deltas and spans; there is no second
+    # per-trace record type on the wire.
+    assert [f.name for f in dataclasses.fields(TelemetryBatch)][-2:] == [
+        "metrics", "spans",
+    ]
+    (tree,) = collector.assembler.trees()
+    assert tree.complete and tree.root.kind == "publish"
+    assert tree.root.peer == "peer-000"
+    relay = tree.relay_spans()
+    assert sorted(span.peer for span in relay) == [
+        "peer-001", "peer-002", "peer-003", "peer-004",
+    ]
+    assert all(span.kind == "bundle" for span in relay)
+    # Exactly those spans were exported: one per (bundle, validating
+    # peer) plus the root, each once.
+    shipped = sum(e.stats.spans_exported for e in deployment.exporters.values())
+    assert shipped == collector.stats.spans == len(relay) + 1
+    assert collector.assembler.span_count == shipped
+    assert collector.assembler.duplicates == 0
+    # Every validation trace still folded its histograms.
+    finished = sum(
+        t.registry.counter("traces_finished_total", kind="bundle").value
+        for t in deployment.telemetries.values()
+    )
+    assert finished == len(relay)
+
+
+def test_waterfall_exemplars_are_assembled_relay_span_marks():
+    deployment = traced_deployment(1.0)
+    collector = deployment.collector
+    k = 2
+    expected: dict[str, list[float]] = {}
+    spans = collector.assembler.relay_spans("bundle")
+    # "Newest" is by verdict time: the assembler lists oldest first.
+    assert [span.end for span in spans] == sorted(span.end for span in spans)
+    for span in spans:
+        for (_, prev_t), (stage, t) in itertools.pairwise(span.marks):
+            expected.setdefault(stage, []).append(t - prev_t)
+    rows = collector.waterfall("bundle", exemplars=k)
+    assert rows
+    for row in rows:
+        assert row["exemplars"] == tuple(expected[row["stage"]][-k:])
+        assert len(row["exemplars"]) == min(k, row["count"])
+
+
+def test_sample_zero_keeps_the_waterfall_histograms_without_exemplars():
+    deployment = traced_deployment(0.0)
+    collector = deployment.collector
+    rows = collector.waterfall("bundle", exemplars=4)
+    assert rows and all(row["count"] > 0 for row in rows)
+    assert all(row["exemplars"] == () for row in rows)
+    assert collector.assembler.span_count == 0
+    assert collector.stats.spans == 0

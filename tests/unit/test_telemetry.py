@@ -30,6 +30,7 @@ from repro.telemetry import (
     NULL_TRACE,
     NULL_TRACER,
     MetricsRegistry,
+    SpanContext,
     Telemetry,
     TelemetrySnapshot,
     Tracer,
@@ -146,6 +147,7 @@ def test_resolve_defaults_to_the_null_hub():
     assert NULL_TELEMETRY.tracer("anyone") is NULL_TRACER
     assert NULL_TELEMETRY.snapshot().data == {}
     assert NULL_TRACER.begin() is NULL_TRACE
+    assert NULL_TRACER.begin_publish() is None and NULL_TRACER.recent() == ()
     NULL_TRACE.mark("anything")
     assert NULL_TRACE.spans() == ()
 
@@ -153,6 +155,10 @@ def test_resolve_defaults_to_the_null_hub():
 # ---------------------------------------------------------------------------
 # tracing
 # ---------------------------------------------------------------------------
+
+
+#: An inbound relay-hop context: traces begun under it are exported spans.
+INBOUND = SpanContext(trace_id=1, span_id=2, hop=0, origin="p0")
 
 
 class ManualClock:
@@ -167,7 +173,7 @@ def test_trace_spans_are_consecutive_mark_deltas():
     clock = ManualClock()
     registry = MetricsRegistry()
     tracer = Tracer("p1", registry, clock=clock)
-    trace = tracer.begin()
+    trace = tracer.begin(parent=INBOUND)
     clock.now = 0.010
     trace.mark(tracing.PREFILTER)
     # cheap-checks / verdict-cache skipped entirely: no zero-length spans.
@@ -190,15 +196,23 @@ def test_trace_spans_are_consecutive_mark_deltas():
     assert stage.count == 1 and stage.p50 == pytest.approx(0.020)
     assert registry.histogram("trace_total_seconds", kind="bundle").count == 1
     assert registry.counter("traces_finished_total", kind="bundle").value == 1
-    assert tracer.recent() == (trace,)
+    # The trace is its relay-hop span: archived once, marks intact.
+    (record,) = tracer.recent()
+    assert record.span_id == trace.span_id and record.parent_id == INBOUND.span_id
+    assert record.marks == tuple(trace.marks)
+    assert (record.start, record.end) == (0.0, 0.031)
+    # An unsampled trace folds the same histograms but is never archived.
+    tracer.finish(tracer.begin())
+    assert registry.counter("traces_finished_total", kind="bundle").value == 2
+    assert len(tracer.recent()) == 1
 
 
 def test_tracer_ring_is_bounded():
     tracer = Tracer("p1", MetricsRegistry(), clock=lambda: 0.0, capacity=4)
-    traces = [tracer.begin() for _ in range(6)]
+    traces = [tracer.begin(parent=INBOUND) for _ in range(6)]
     for trace in traces:
         tracer.finish(trace)
-    assert tracer.recent() == tuple(traces[2:])
+    assert [r.span_id for r in tracer.recent()] == [t.span_id for t in traces[2:]]
 
 
 def test_telemetry_caches_tracers_per_peer():
