@@ -31,7 +31,6 @@ from repro.analysis.reporting import ExperimentReport, format_bytes, format_seco
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.membership import GroupManager
-from repro.core.validator import ValidatorStats
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleTree
 from repro.errors import InconsistentTreeUpdate
@@ -114,13 +113,9 @@ def test_light_member_storage_and_latency(report_sink, members):
         rng=random.Random(3),
     )
     server, light = sorted(graph.nodes)
-    # One ValidatorStats per role: the witness counters live next to the
-    # proof counters, aggregated below via analysis.witness_service_load.
-    server_stats = ValidatorStats()
-    client_stats = ValidatorStats()
-    service = WitnessService(
-        server, StubManager(forest, members), network, validator_stats=server_stats
-    )
+    # Each role counts its own witness work (service stats, cache stats),
+    # aggregated below via analysis.witness_service_load.
+    service = WitnessService(server, StubManager(forest, members), network)
     client = WitnessClient(
         light,
         network,
@@ -130,7 +125,6 @@ def test_light_member_storage_and_latency(report_sink, members):
         tree_depth=DEPTH,
         timeout=5.0,
         hasher=cheap_hash,
-        validator_stats=client_stats,
     )
     member_index = 5
 
@@ -178,7 +172,7 @@ def test_light_member_storage_and_latency(report_sink, members):
         f"cold {format_bytes(witness_bytes)} / warm 0 B",
     )
     report.add_row("members", members, members, members)
-    load = witness_service_load([server_stats, client_stats])
+    load = witness_service_load([service.stats, client.cache.stats])
     report.add_note(
         f"cold fetch = request/response over a {LINK_LATENCY * 1e3:.0f} ms "
         "link through the SERVICE executor class; warm = cache hit; "

@@ -147,9 +147,11 @@ def mean(values: Iterable[float]) -> float:
 class WitnessServiceLoad:
     """Aggregated witness-subsystem load across a set of peers.
 
-    Built from :class:`~repro.core.validator.ValidatorStats` objects (the
-    witness counters live there next to the proof counters, so E14 can
-    print service load alongside verification work from one surface).
+    Built from the witness subsystem's own counters: each service's
+    :class:`~repro.witness.service.WitnessServiceStats` (witness and
+    snapshot responses served) and each client's
+    :class:`~repro.witness.client.WitnessCacheStats` (cache hits, misses
+    and background refreshes).
     """
 
     witnesses_served: int
@@ -171,13 +173,14 @@ class WitnessServiceLoad:
 
 
 def witness_service_load(stats: Iterable[object]) -> WitnessServiceLoad:
-    """Sum the witness counters over any iterable of ``ValidatorStats``."""
+    """Sum the witness counters over ``WitnessServiceStats`` (servers)
+    and ``WitnessCacheStats`` (clients) in any mix."""
     served = hits = misses = refreshes = 0
     for entry in stats:
-        served += getattr(entry, "witnesses_served", 0)
-        hits += getattr(entry, "witness_cache_hits", 0)
-        misses += getattr(entry, "witness_cache_misses", 0)
-        refreshes += getattr(entry, "witness_refreshes", 0)
+        served += getattr(entry, "total_served", 0)
+        hits += getattr(entry, "hits", 0)
+        misses += getattr(entry, "misses", 0)
+        refreshes += getattr(entry, "refreshes", 0)
     return WitnessServiceLoad(
         witnesses_served=served,
         cache_hits=hits,

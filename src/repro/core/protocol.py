@@ -470,10 +470,8 @@ class WakuRLNRelayPeer:
         group manager's tree, and its extraction work rides the relay
         pipeline's crypto executor at SERVICE priority — witness traffic
         queues behind relay verdicts, exactly like store/filter/lightpush
-        re-validation.  Served counts are mirrored into this peer's
-        :class:`~repro.core.validator.ValidatorStats` so benchmarks see
-        service load next to proof load.  One service per peer: repeat
-        calls return the same instance (its stats stay live).
+        re-validation.  One service per peer: repeat calls return the same
+        instance (its stats stay live).
         """
         from repro.witness.service import WitnessService
 
@@ -483,7 +481,6 @@ class WakuRLNRelayPeer:
                 self.group,
                 self.relay.router.network,
                 executor=self.pipeline.executor,
-                validator_stats=self.validator.stats,
                 telemetry=self.telemetry,
             )
         return self._witness_service

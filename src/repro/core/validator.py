@@ -67,13 +67,10 @@ class ValidatorStats:
     pairing evaluation; the seed's conflation of the two hid exactly the
     saving experiment E10/E11 measures.
 
-    The witness counters record the §IV-A hybrid-role work next to the
-    proof work, so one stats object captures a peer's whole load:
-    ``witnesses_served`` on the resourceful side (mirrored from the
-    :class:`~repro.witness.service.WitnessService`), the cache hit/miss/
-    refresh triple on the light side (mirrored from the
-    :class:`~repro.witness.client.WitnessClient`).  Experiment E14 reports
-    them alongside the proof stats.
+    The §IV-A witness work is counted where it happens, not here:
+    :class:`~repro.witness.service.WitnessServiceStats` on the serving
+    side and :class:`~repro.witness.client.WitnessCacheStats` on the
+    client side.
     """
 
     outcomes: dict[ValidationOutcome, int] = field(
@@ -81,14 +78,6 @@ class ValidatorStats:
     )
     proofs_verified: int = 0
     proofs_cached: int = 0
-    #: Witness/snapshot responses this peer served (resourceful role).
-    witnesses_served: int = 0
-    #: Publish-path witness acquisitions answered from the local cache.
-    witness_cache_hits: int = 0
-    #: Publish-path acquisitions that had to fetch from a provider.
-    witness_cache_misses: int = 0
-    #: Background witness re-fetches triggered by tree updates.
-    witness_refreshes: int = 0
     #: Nullifier-map telemetry, refreshed from the validator's
     #: :class:`~repro.core.nullifier_log.NullifierLog` by
     #: :meth:`BundleValidator.collect` — the *only* mirror point (the

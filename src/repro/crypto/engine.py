@@ -62,6 +62,7 @@ from repro.crypto.poseidon import (
     poseidon_permutation,
 )
 from repro.errors import CryptoError
+from repro.telemetry.registry import counted
 
 #: Environment variable naming the default backend.
 ENV_BACKEND = "REPRO_CRYPTO_BACKEND"
@@ -85,18 +86,19 @@ def _to_int(value: FieldElement | int) -> int:
 
 @dataclass
 class EngineStats:
-    """Cumulative work counters (mirrored into telemetry as
-    ``crypto_hashes_total`` / ``crypto_hash_seconds``).
+    """Cumulative work counters (exported by
+    :func:`publish_engine_telemetry` as ``crypto_hashes_total`` /
+    ``crypto_permutations_total`` / ``crypto_hash_seconds``).
 
     Plain attribute bumps: under ``ThreadPoolCryptoExecutor`` concurrent
     increments may race and undercount slightly — acceptable for
     telemetry, never consulted for correctness.
     """
 
-    hashes: int = 0
-    permutations: int = 0
+    hashes: int = counted("crypto_hashes_total")
+    permutations: int = counted("crypto_permutations_total")
     batched_calls: int = 0
-    seconds: float = 0.0
+    seconds: float = counted("crypto_hash_seconds", default=0.0)
 
 
 class PoseidonEngine:
@@ -694,24 +696,17 @@ def engine_stats() -> dict[str, EngineStats]:
 
 
 def publish_engine_telemetry(registry) -> None:
-    """Mirror engine work counters into a metrics registry.
+    """Expose every used engine's work counters in a metrics registry.
 
-    Writes ``crypto_hashes_total{backend=}``,
+    Binds ``crypto_hashes_total{backend=}``,
     ``crypto_permutations_total{backend=}`` and
-    ``crypto_hash_seconds{backend=}`` as idempotent sets (the
-    ``mirror_stats`` idiom), so benchmark snapshots (E16/E18) expose the
-    hot path without the engines holding per-peer registry handles —
-    engines are process-global, so per-peer *export* attribution would
-    multi-count; publish only into report-time registries.
+    ``crypto_hash_seconds{backend=}`` to each engine's
+    :class:`EngineStats` (read at collect time; binding twice is a
+    no-op), so benchmark snapshots (E16/E18) expose the hot path.
+    Engines that have not permuted yet are skipped.  Engines are
+    process-global, so per-peer *export* attribution would multi-count;
+    publish only into report-time registries.
     """
-    if not getattr(registry, "enabled", False):
-        return
     for name, engine in _ENGINES.items():
-        stats = engine.stats
-        if stats.permutations == 0:
-            continue
-        registry.counter("crypto_hashes_total", backend=name).value = stats.hashes
-        registry.counter(
-            "crypto_permutations_total", backend=name
-        ).value = stats.permutations
-        registry.counter("crypto_hash_seconds", backend=name).value = stats.seconds
+        if engine.stats.permutations:
+            registry.expose(engine.stats, backend=name)

@@ -40,6 +40,7 @@ from repro.net.promise import Promise
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.telemetry import resolve as resolve_telemetry
+from repro.telemetry.registry import counted
 
 
 class ValidationResult(Enum):
@@ -111,9 +112,20 @@ class RouterStats:
     iwant_served: int = 0
     #: Peers evicted through :meth:`GossipSubRouter.prune_peer` (e.g.
     #: persistent ingress rate-limit offenders).
-    pruned_peers: int = 0
+    pruned_peers: int = counted("gossipsub_prunes_total")
+    #: Peers added to a mesh (inbound GRAFTs accepted and mesh fills).
+    grafts: int = counted("gossipsub_grafts_total")
     #: GRAFT attempts refused because the sender was in prune backoff.
-    backoff_grafts_rejected: int = 0
+    backoff_grafts_rejected: int = counted(
+        "gossipsub_backoff_grafts_rejected_total"
+    )
+    #: Score penalties applied (scoring routers only).
+    behaviour_penalties: int = counted(
+        "gossipsub_penalties_total", kind="behaviour"
+    )
+    invalid_penalties: int = counted(
+        "gossipsub_penalties_total", kind="invalid-message"
+    )
 
 
 class GossipSubRouter:
@@ -141,18 +153,7 @@ class GossipSubRouter:
         )
         self.stats = RouterStats()
         self.telemetry = resolve_telemetry(telemetry)
-        registry = self.telemetry.registry
-        self._m_prunes = registry.counter("gossipsub_prunes_total", peer=peer_id)
-        self._m_grafts = registry.counter("gossipsub_grafts_total", peer=peer_id)
-        self._m_backoff_rejects = registry.counter(
-            "gossipsub_backoff_grafts_rejected_total", peer=peer_id
-        )
-        self._m_behaviour_penalties = registry.counter(
-            "gossipsub_penalties_total", peer=peer_id, kind="behaviour"
-        )
-        self._m_invalid_penalties = registry.counter(
-            "gossipsub_penalties_total", peer=peer_id, kind="invalid-message"
-        )
+        self.telemetry.registry.expose(self.stats, peer=peer_id)
 
         self._topics: set[str] = set()
         self._mesh: dict[str, set[str]] = {}
@@ -276,7 +277,6 @@ class GossipSubRouter:
         )
         self._graft_backoff.setdefault(topic, {})[peer] = until
         self.stats.pruned_peers += 1
-        self._m_prunes.inc()
         mesh = self._mesh.get(topic)
         if mesh and peer in mesh:
             mesh.remove(peer)
@@ -366,22 +366,21 @@ class GossipSubRouter:
         if self.in_graft_backoff(topic, sender):
             # Backoff violation (v1.1 semantics): refuse and penalise.
             self.stats.backoff_grafts_rejected += 1
-            self._m_backoff_rejects.inc()
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
             if self.scoring:
                 self.scoring.on_behaviour_penalty(sender)
-                self._m_behaviour_penalties.inc()
+                self.stats.behaviour_penalties += 1
             return
         if self.scoring and not self.scoring.mesh_eligible(sender, self.simulator.now):
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
             if self.scoring:
                 self.scoring.on_behaviour_penalty(sender)
-                self._m_behaviour_penalties.inc()
+                self.stats.behaviour_penalties += 1
             return
         mesh = self._mesh.setdefault(topic, set())
         if sender not in mesh:
             mesh.add(sender)
-            self._m_grafts.inc()
+            self.stats.grafts += 1
             if self.scoring:
                 self.scoring.on_join_mesh(sender, self.simulator.now)
 
@@ -413,7 +412,7 @@ class GossipSubRouter:
             self.stats.rejected += 1
             if self.scoring:
                 self.scoring.on_invalid_message(sender)
-                self._m_invalid_penalties.inc()
+                self.stats.invalid_penalties += 1
             return
         if result is ValidationResult.IGNORE:
             self.stats.ignored += 1
@@ -524,7 +523,7 @@ class GossipSubRouter:
         while len(mesh) < self.params.d and candidates:
             peer = candidates.pop()
             mesh.add(peer)
-            self._m_grafts.inc()
+            self.stats.grafts += 1
             if self.scoring:
                 self.scoring.on_join_mesh(peer, now)
             self._send(peer, RPC(graft=(Graft(topic=topic),)))

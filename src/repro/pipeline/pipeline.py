@@ -55,6 +55,7 @@ from repro.pipeline.ratelimit import (
 from repro.pipeline.verdicts import SharedProofChecker, VerdictCache
 from repro.telemetry import NullTelemetry, Telemetry, resolve as resolve_telemetry
 from repro.telemetry import tracing
+from repro.telemetry.registry import counted
 from repro.waku.message import WakuMessage
 from repro.zksnark.prover import RLNProver
 
@@ -169,8 +170,10 @@ class PendingVerdict(Promise[Verdict]):
 class PipelineStats:
     """Stage-level accounting on top of the sub-stage stats objects."""
 
-    admitted: int = 0
-    deferred: int = 0
+    admitted: int = counted("pipeline_admitted_total")
+    deferred: int = counted("pipeline_deferred_total")
+    #: Bundles dropped (rejected or ignored), by the stage that decided.
+    drops: dict[str, int] = counted("pipeline_drops_total", label="stage")
     #: The limiter's own stats object; set by the owning pipeline so
     #: ``rate_limited`` is always the single source of truth.
     ratelimit: RateLimitStats | None = None
@@ -203,9 +206,6 @@ class ValidationPipeline:
         clock = (lambda: simulator.now) if simulator is not None else None
         self.tracer = self.telemetry.tracer(peer_id or "pipeline", clock=clock)
         registry = self.telemetry.registry
-        self._m_admitted = registry.counter("pipeline_admitted_total", peer=peer_id)
-        self._m_deferred = registry.counter("pipeline_deferred_total", peer=peer_id)
-        self._m_drops: dict[str, object] = {}
         # A verdict resolves against the local epoch captured at submit
         # time; a deadline spanning epochs would accept bundles the rest of
         # the network is already rejecting as out-of-window.
@@ -262,6 +262,7 @@ class ValidationPipeline:
         self.verdict_cache = VerdictCache(self.config.verdict_cache_capacity)
         self._prover = prover
         self.stats = PipelineStats(ratelimit=self.ratelimiter.stats)
+        registry.expose(self.stats, peer=peer_id)
         self._on_rate_limit_penalty = on_rate_limit_penalty
         self._closed = False
 
@@ -311,7 +312,7 @@ class ValidationPipeline:
             # ``retryable`` tells the caller to do the same for its own
             # dedup layer (the router's seen-cache).
             self.prefilter.dedup.forget(topic, msg_id)
-            self._count_drop("ratelimit")
+            self._drop("ratelimit")
             self.tracer.finish(trace)
             # IGNORE, not REJECT — the router must not stack an
             # invalid-message penalty on content whose validity was never
@@ -374,7 +375,6 @@ class ValidationPipeline:
             # synchronously — indistinguishable from the seed path.
             return pending.verdict
         self.stats.deferred += 1
-        self._m_deferred.inc()
         return pending
 
     def flush(self) -> None:
@@ -445,13 +445,9 @@ class ValidationPipeline:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _count_drop(self, stage: str) -> None:
-        counter = self._m_drops.get(stage)
-        if counter is None:
-            counter = self._m_drops[stage] = self.telemetry.registry.counter(
-                "pipeline_drops_total", peer=self.peer_id, stage=stage
-            )
-        counter.inc()  # type: ignore[union-attr]
+    def _drop(self, stage: str) -> None:
+        drops = self.stats.drops
+        drops[stage] = drops.get(stage, 0) + 1
 
     _GATE_OUTCOMES: dict[PrefilterOutcome, ValidationOutcome] = {
         PrefilterOutcome.MISSING_PROOF: ValidationOutcome.MISSING_PROOF,
@@ -468,7 +464,7 @@ class ValidationPipeline:
             if gate is PrefilterOutcome.DUPLICATE_ID
             else ValidationResult.REJECT
         )
-        self._count_drop("prefilter")
+        self._drop("prefilter")
         return Verdict(action, None, stage="prefilter")
 
     def _after_proof(
@@ -497,12 +493,11 @@ class ValidationPipeline:
         self.validator.stats.record(outcome)
         if outcome is ValidationOutcome.VALID:
             self.stats.admitted += 1
-            self._m_admitted.inc()
             action = ValidationResult.ACCEPT
         elif outcome is ValidationOutcome.DUPLICATE:
             action = ValidationResult.IGNORE
-            self._count_drop(stage)
+            self._drop(stage)
         else:
             action = ValidationResult.REJECT
-            self._count_drop(stage)
+            self._drop(stage)
         return Verdict(action, outcome, evidence, stage=stage, cached=cached)

@@ -43,6 +43,7 @@ from repro.core.slashing import SlashAttempt, SlashState, Slasher
 from repro.crypto.field import FieldElement
 from repro.net.simulator import Simulator
 from repro.telemetry import resolve as resolve_telemetry
+from repro.telemetry.registry import counted
 from repro.telemetry.tracing import COMMIT_REVEAL, MEMBER_REMOVED
 
 
@@ -87,14 +88,14 @@ class RevocationCase:
 class CoordinatorStats:
     """Slash-race economics for one coordinator (E15's per-peer surface)."""
 
-    cases: int = 0
-    races_won: int = 0
-    races_lost: int = 0
+    cases: int = counted("slashing_cases_total")
+    races_won: int = counted("slashing_races_total", outcome="won")
+    races_lost: int = counted("slashing_races_total", outcome="lost")
     #: Wei paid in gas across commit and reveal transactions (gas price 1
     #: unless callers override it chain-wide).
-    gas_spent_wei: int = 0
+    gas_spent_wei: int = counted("slashing_gas_spent_wei_total")
     #: Stakes collected from won races.
-    rewards_wei: int = 0
+    rewards_wei: int = counted("slashing_rewards_wei_total")
 
     @property
     def net_wei(self) -> int:
@@ -132,16 +133,7 @@ class SlashingCoordinator:
         self.slasher = Slasher(account, chain, contract.address)
         self.stats = CoordinatorStats()
         self.telemetry = resolve_telemetry(telemetry)
-        registry = self.telemetry.registry
-        self._m_cases = registry.counter("slashing_cases_total", peer=account)
-        self._m_races = {
-            outcome: registry.counter(
-                "slashing_races_total", peer=account, outcome=outcome
-            )
-            for outcome in ("won", "lost")
-        }
-        self._m_gas = registry.counter("slashing_gas_spent_wei_total", peer=account)
-        self._m_rewards = registry.counter("slashing_rewards_wei_total", peer=account)
+        self.telemetry.registry.expose(self.stats, peer=account)
         #: Shared with the peer's protocol (same hub, same peer id), so
         #: evidence contexts it registered under (nullifier, epoch) are
         #: visible here and the commit-reveal race joins the spam
@@ -198,7 +190,6 @@ class SlashingCoordinator:
         self._case_by_key[key] = case
         self.cases.append(case)
         self.stats.cases += 1
-        self._m_cases.inc()
         if self.auto_pump:
             self._pump()
         return case
@@ -220,15 +211,11 @@ class SlashingCoordinator:
             self._accounted.add(attempt.attempt_id)
             gas = self._fee_of(attempt.commit_tx) + self._fee_of(attempt.reveal_tx)
             self.stats.gas_spent_wei += gas
-            self._m_gas.inc(gas)
             if attempt.state is SlashState.REWARDED:
                 self.stats.races_won += 1
                 self.stats.rewards_wei += attempt.reward
-                self._m_races["won"].inc()
-                self._m_rewards.inc(attempt.reward)
             else:
                 self.stats.races_lost += 1
-                self._m_races["lost"].inc()
 
     def pending(self) -> list[RevocationCase]:
         return [case for case in self.cases if not case.settled]

@@ -4,7 +4,9 @@ One :class:`Telemetry` object per simulation run (or per peer, when a
 collector is deployed) bundles the surfaces the subsystems share:
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` of interned
-  Counter/Gauge/Histogram handles (``name{label=value}`` keys);
+  Counter/Gauge/Histogram handles (``name{label=value}`` keys); counts
+  stay in each subsystem's ``*Stats``, bound once with
+  ``registry.expose(stats, peer=…)`` and read at collect time;
 * one :class:`~repro.telemetry.tracing.Tracer` per peer — the single
   span model.  It mints the :class:`~repro.telemetry.tracing.TraceContext`
   handles that ride a bundle from relay ingress to verdict (and evidence
@@ -39,7 +41,6 @@ from typing import Callable
 
 from repro.telemetry.export import (
     TelemetrySnapshot,
-    mirror_stats,
     render_prometheus,
     write_snapshot,
 )
@@ -229,7 +230,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "metric_key",
-    "mirror_stats",
     "render_prometheus",
     "resolve",
     "write_snapshot",

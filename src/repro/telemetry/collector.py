@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.net.simulator import Simulator
@@ -48,7 +48,7 @@ from repro.telemetry.alerts import AlertRule, RuleEngine, SLO
 from repro.telemetry.disttrace import TraceAssembler
 from repro.telemetry.export import TelemetrySnapshot, render_prometheus
 from repro.telemetry.health import HealthMonitor
-from repro.telemetry.registry import metric_key
+from repro.telemetry.registry import MetricsRegistry, counted
 from repro.telemetry.otlp import (
     CounterDelta,
     ExportAck,
@@ -98,19 +98,21 @@ class CollectorOptions:
 class CollectorStats:
     """Collector-side accounting."""
 
-    batches: int = 0
+    batches: int = counted("collector_batches_total")
     metrics_applied: int = 0
     #: Head-sampled spans folded into the assembler.
     spans: int = 0
     #: Retransmissions (seq already folded) — acked, not re-applied.
-    duplicates: int = 0
+    duplicates: int = counted("collector_duplicates_total")
     #: Sequence gaps observed (exporter drop-oldest upstream).
-    gaps: int = 0
-    lost_batches: int = 0
-    acks_sent: int = 0
-    malformed: int = 0
+    gaps: int = counted("collector_gaps_total")
+    lost_batches: int = counted("collector_lost_batches_total")
+    acks_sent: int = counted("collector_acks_sent_total")
+    malformed: int = counted("collector_malformed_total")
     #: Per-peer cumulative drops the batch headers self-reported.
-    reported_drops: dict[str, int] = field(default_factory=dict)
+    reported_drops: dict[str, int] = counted(
+        "collector_reported_drops_total", label="peer"
+    )
 
 
 def fold_delta(state: dict[str, dict], delta: MetricDelta) -> None:
@@ -173,6 +175,10 @@ class CollectorPeer:
         self.network = network
         self.simulator = simulator
         self.stats = CollectorStats()
+        #: The collector's own bookkeeping, kept apart from every peer's
+        #: state so it never reaches :meth:`fleet_snapshot`.
+        self._own = MetricsRegistry()
+        self._own.expose(self.stats, collector=peer_id)
         self._states: dict[str, dict[str, dict]] = {}
         self._resources: dict[str, dict[str, str]] = {}
         self._last_seq: dict[str, int] = {}
@@ -286,35 +292,13 @@ class CollectorPeer:
         """The collector's own bookkeeping as collected-shape entries.
 
         This is what makes exporter loss *alertable* rather than merely
-        inspectable: ``CollectorStats`` re-rendered as
+        inspectable: the counted ``CollectorStats`` fields as
         ``collector_*_total`` counters labeled with the collector's id
         (plus the exporting peer for self-reported drops), injected into
         the exposition and the rule-engine view — never into
         :meth:`fleet_snapshot`.
         """
-        base = {"collector": self.peer_id}
-        out: dict[str, dict] = {}
-
-        def counter(name: str, value: int, extra: dict[str, str] | None = None):
-            labels = dict(base)
-            if extra:
-                labels.update(extra)
-            out[metric_key(name, labels)] = {
-                "name": name,
-                "kind": "counter",
-                "labels": labels,
-                "value": value,
-            }
-
-        counter("collector_batches_total", self.stats.batches)
-        counter("collector_lost_batches_total", self.stats.lost_batches)
-        counter("collector_duplicates_total", self.stats.duplicates)
-        counter("collector_gaps_total", self.stats.gaps)
-        counter("collector_malformed_total", self.stats.malformed)
-        counter("collector_acks_sent_total", self.stats.acks_sent)
-        for peer, drops in sorted(self.stats.reported_drops.items()):
-            counter("collector_reported_drops_total", drops, {"peer": peer})
-        return out
+        return self._own.collect()
 
     def render_prometheus(self) -> str:
         """The whole deployment as one Prometheus text exposition.

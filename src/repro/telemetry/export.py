@@ -3,7 +3,9 @@
 :class:`TelemetrySnapshot` is the machine-readable export every E-bench
 writes next to its ASCII table: a nested, JSON-serializable dict built
 from one atomic :meth:`~repro.telemetry.registry.MetricsRegistry.collect`
-pass.  Snapshots **merge** (across peers, across runs, across CI
+pass, whose counters are the subsystems' own ``*Stats`` fields as they
+stand at that instant.
+Snapshots **merge** (across peers, across runs, across CI
 artifacts) by adding counters and histogram buckets — merging is
 commutative and associative, and merging two snapshots equals
 snapshotting the combined stream (the property suite pins this), which
@@ -24,7 +26,6 @@ snapshot can feed a scrape endpoint or ad-hoc ``promtool`` queries.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from typing import Any, Mapping
 
 from repro.telemetry.registry import (
@@ -211,38 +212,6 @@ def render_prometheus(snapshot: TelemetrySnapshot) -> str:
         else:
             lines.append(f"{name}{fmt_labels(labels)} {entry['value']}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def mirror_stats(
-    registry: MetricsRegistry | NullRegistry,
-    prefix: str,
-    stats: object,
-    **labels: str,
-) -> None:
-    """Mirror an ad-hoc ``*Stats`` dataclass into the registry as gauges.
-
-    The bridge that re-backs the per-subsystem stats dataclasses
-    (``ValidatorStats``, ``TreeSyncStats``, ``CoordinatorStats``, …) with
-    the registry without touching their consumers: every numeric field
-    becomes ``{prefix}_{field}`` (idempotent set-gauges, so repeated
-    collection never double-counts), enum-keyed dicts fan out into a
-    labelled gauge per key.  Call it right before snapshotting.
-    """
-    if not is_dataclass(stats):
-        raise TypeError(f"mirror_stats needs a dataclass, got {type(stats)!r}")
-    for spec in fields(stats):
-        value = getattr(stats, spec.name)
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            registry.gauge(f"{prefix}_{spec.name}", **labels).set(value)
-        elif isinstance(value, dict):
-            for key, item in value.items():
-                if isinstance(item, (int, float)) and not isinstance(item, bool):
-                    label = getattr(key, "value", key)
-                    registry.gauge(
-                        f"{prefix}_{spec.name}", **labels, key=str(label)
-                    ).set(item)
 
 
 def write_snapshot(snapshot: TelemetrySnapshot, path: Any) -> None:

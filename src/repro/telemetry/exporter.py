@@ -54,6 +54,7 @@ from repro.telemetry.otlp import (
     TelemetryBatch,
     compute_deltas,
 )
+from repro.telemetry.registry import counted
 
 #: Default export interval (simulated seconds).
 DEFAULT_INTERVAL = 1.0
@@ -72,8 +73,10 @@ class ExporterStats:
     #: Empty liveness batches (``heartbeat=True`` ticks with no deltas).
     heartbeats: int = 0
     batches_sent: int = 0
-    #: Drop-oldest sheds; mirrored as ``telemetry_dropped_batches_total``.
-    batches_dropped: int = 0
+    #: Drop-oldest sheds; self-reported as
+    #: ``telemetry_dropped_batches_total`` in the peer's own registry, so
+    #: the loss travels (and merges fleet-wide) like any other metric.
+    batches_dropped: int = counted("telemetry_dropped_batches_total")
     #: Requests that exhausted every collector (batch requeued).
     push_failures: int = 0
     metrics_exported: int = 0
@@ -151,11 +154,7 @@ class TelemetryExporter:
             # so GossipSub never sees them and relay behaviour is untouched.
             require_edge=False,
         )
-        #: Self-reported loss: lives in the peer's own registry, so it
-        #: travels (and merges fleet-wide) like any other metric delta.
-        self._m_dropped = telemetry.registry.counter(
-            "telemetry_dropped_batches_total", peer=peer_id
-        )
+        telemetry.registry.expose(self.stats, peer=peer_id)
         self._last: dict[str, dict] = {}
         self._span_cursor: dict[str, int] = {}
         self._next_seq = 1
@@ -266,10 +265,9 @@ class TelemetryExporter:
     def _enqueue(self, batch: TelemetryBatch) -> None:
         if len(self._queue) >= self.queue_limit:
             self._queue.popleft()
+            # The loss travels in the *next* batch's counter delta, so
+            # the fleet snapshot owns it.
             self.stats.batches_dropped += 1
-            # Self-reported into the registry: the loss travels in the
-            # *next* batch's counter delta, so the fleet snapshot owns it.
-            self._m_dropped.inc()
         self._queue.append(batch)
 
     def _pump(self) -> None:

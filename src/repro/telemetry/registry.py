@@ -1,14 +1,17 @@
 """The metrics registry: Counter / Gauge / Histogram keyed by name{labels}.
 
-Every subsystem of the reproduction grew its own ad-hoc counter dataclass
-(``ValidatorStats``, ``TreeSyncStats``, ``CoordinatorStats``, …) and every
-benchmark hand-rolled its own latency math.  This module is the one home
-for *live* instrumentation, in the idiom of production p2p metrics
-registries:
+This module is the one home for *live* instrumentation, in the idiom of
+production p2p metrics registries:
 
 * metrics are interned by canonical key ``name{label=value,…}`` — asking
   twice returns the same object, so hot paths cache the handle once at
   construction time and pay only an attribute call per event;
+* **counts live in the subsystem's ``*Stats``** (``TreeSyncStats``,
+  ``RouterStats``, ``CoordinatorStats``, …): a field declared with
+  :func:`counted` names its counter series next to the field, one
+  :meth:`MetricsRegistry.expose` call binds the whole object, and the
+  registry reads the field at :meth:`~MetricsRegistry.collect` time —
+  each event is counted once, so the two can never drift;
 * :class:`Histogram` keeps **fixed log-spaced buckets** (for the
   Prometheus/snapshot export, where merging across peers must stay
   additive) *and* the raw sample stream (for exact p50/p90/p99/max in
@@ -16,8 +19,9 @@ registries:
   what the paper-facing tables print);
 * the whole surface has a **zero-cost disabled mode**:
   :data:`NULL_REGISTRY` hands out shared no-op singletons whose methods
-  do nothing, so code instruments unconditionally and a disabled run
-  stays bit-identical to the seed (the E16 overhead arm pins this).
+  do nothing and binds nothing, so code instruments unconditionally and
+  a disabled run stays bit-identical to the seed (the E16 overhead arm
+  pins this).
 
 Telemetry is *off by default* everywhere: every constructor takes
 ``telemetry=None`` and falls back to the null objects.
@@ -28,7 +32,8 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_left
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.analysis.reporting import percentile
 
@@ -69,6 +74,61 @@ class Counter:
 
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
+
+
+#: Dataclass-field metadata key :func:`counted` stores its declaration under.
+_COUNTED = "repro.telemetry.counted"
+
+
+def counted(
+    name: str, *, label: str | None = None, default: Any = 0, **labels: str
+):
+    """Declare a ``*Stats`` dataclass field as the counter series ``name``.
+
+    The field stays the only count — the subsystem bumps it, nothing
+    else — and a registry that :meth:`~MetricsRegistry.expose`-s the
+    object reads it at collect time.  ``labels`` are the series' constant
+    labels.  With ``label`` the field is a ``dict`` of label value →
+    count that fans out one series per key under that label, each
+    appearing at its key's first count.
+    """
+    metadata = {_COUNTED: (name, label, labels)}
+    if label is not None:
+        return field(default_factory=dict, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+class StatsCounter:
+    """A counter series whose value is read from ``*Stats`` fields.
+
+    Several objects bound under one key (two subsystems sharing a peer
+    id) sum, exactly as their increments into one pushed counter did.
+    """
+
+    __slots__ = ("name", "labels", "_reads")
+
+    kind = "counter"
+
+    def __init__(self, name: str, labels: Mapping[str, str]) -> None:
+        self.name = name
+        self.labels = dict(labels)
+        self._reads: dict[tuple, Callable[[], int | float]] = {}
+
+    @property
+    def value(self) -> int | float:
+        return sum(read() for read in self._reads.values())
+
+
+@dataclass
+class _FanOut:
+    """One dict-valued ``counted(label=…)`` field bound to a registry."""
+
+    stats: object
+    attr: str
+    name: str
+    labels: dict[str, str]
+    label: str
+    seen: set[str] = field(default_factory=set)
 
 
 class Gauge:
@@ -208,7 +268,7 @@ class Histogram:
         return self.percentile(0.99)
 
 
-Metric = Counter | Gauge | Histogram
+Metric = Counter | StatsCounter | Gauge | Histogram
 
 
 class MetricsRegistry:
@@ -221,6 +281,7 @@ class MetricsRegistry:
             DEFAULT_BUCKETS if buckets is None else tuple(sorted(buckets))
         )
         self._metrics: dict[str, Metric] = {}
+        self._fanouts: list[_FanOut] = []
 
     def _intern(self, cls, name: str, labels: Mapping[str, str], **kwargs):
         key = metric_key(name, labels)
@@ -233,8 +294,69 @@ class MetricsRegistry:
             )
         return metric
 
-    def counter(self, name: str, **labels: str) -> Counter:
+    def counter(self, name: str, **labels: str) -> Counter | StatsCounter:
+        """The counter at ``name{labels}`` — an exposed field's series when
+        one is bound there, whose ``value`` is the field's live count."""
+        key = metric_key(name, labels)
+        if key not in self._metrics:
+            self._sync_fanouts()
+            for fan in self._fanouts:
+                item = labels.get(fan.label)
+                if (
+                    fan.name == name
+                    and item is not None
+                    and key == metric_key(name, {**fan.labels, fan.label: item})
+                ):
+                    self._bind_item(fan, item)  # asked for before its first count
+        metric = self._metrics.get(key)
+        if isinstance(metric, StatsCounter):
+            return metric
         return self._intern(Counter, name, labels)
+
+    def expose(self, stats: object, **labels: str) -> None:
+        """Bind every :func:`counted` field of the ``stats`` dataclass.
+
+        ``labels`` (e.g. ``peer=``) join each field's constant labels.
+        Binding the same object again is a no-op.
+        """
+        for spec in fields(stats):  # type: ignore[arg-type]
+            declared = spec.metadata.get(_COUNTED)
+            if declared is None:
+                continue
+            name, label, constant = declared
+            merged = {**labels, **constant}
+            if label is None:
+                self._bind(name, merged, stats, spec.name)
+            elif not any(
+                fan.stats is stats and fan.attr == spec.name for fan in self._fanouts
+            ):
+                self._fanouts.append(_FanOut(stats, spec.name, name, merged, label))
+        self._sync_fanouts()
+
+    def _bind(
+        self, name: str, labels: Mapping[str, str], stats: object, attr: str, item=None
+    ) -> None:
+        metric = self._intern(StatsCounter, name, labels)
+        source = (id(stats), attr, item)
+        if source not in metric._reads:
+            if item is None:
+                metric._reads[source] = lambda: getattr(stats, attr)
+            else:
+                metric._reads[source] = lambda: getattr(stats, attr).get(item, 0)
+
+    def _bind_item(self, fan: _FanOut, item: str) -> None:
+        fan.seen.add(item)
+        labels = {**fan.labels, fan.label: item}
+        self._bind(fan.name, labels, fan.stats, fan.attr, item)
+
+    def _sync_fanouts(self) -> None:
+        """Bind a series for every dict key counted since the last pass."""
+        for fan in self._fanouts:
+            counts = getattr(fan.stats, fan.attr)
+            if len(counts) != len(fan.seen):
+                for item in counts:
+                    if item not in fan.seen:
+                        self._bind_item(fan, item)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._intern(Gauge, name, labels)
@@ -259,15 +381,18 @@ class MetricsRegistry:
 
     def metrics(self) -> dict[str, Metric]:
         """Live metric objects by canonical key (read-only by convention)."""
+        self._sync_fanouts()
         return dict(self._metrics)
 
     def collect(self) -> "dict[str, dict]":
         """One atomic read of every metric into plain JSON-able dicts.
 
-        This is *the* read path (the snapshot exporter and the mirrored
-        ``*Stats`` views both go through it), so a consumer can never see
-        a metric half-updated across two different report-time copies.
+        This is *the* read path (the snapshot exporter, the fleet push
+        and the collector all go through it).  Exposed ``*Stats`` fields
+        are read here, so a collected counter is always the count its
+        subsystem holds at this instant.
         """
+        self._sync_fanouts()
         out: dict[str, dict] = {}
         for key, metric in self._metrics.items():
             entry: dict = {
@@ -345,15 +470,18 @@ NULL_HISTOGRAM = NullHistogram()
 class NullRegistry:
     """The disabled registry: every request returns a shared no-op.
 
-    No keys are formatted, nothing is stored — a disabled run pays one
-    attribute lookup and an empty method call per instrumentation site,
-    which the E16 overhead arm shows is within noise of the seed.
+    No keys are formatted, nothing is stored or bound — a disabled run
+    pays one attribute lookup and an empty method call per instrumentation
+    site, which the E16 overhead arm shows is within noise of the seed.
     """
 
     enabled = False
 
     def counter(self, name: str, **labels: str) -> NullCounter:
         return NULL_COUNTER
+
+    def expose(self, stats: object, **labels: str) -> None:
+        return None
 
     def gauge(self, name: str, **labels: str) -> NullGauge:
         return NULL_GAUGE

@@ -51,6 +51,7 @@ from repro.treesync.messages import (
 )
 from repro.treesync.witness import splice
 from repro.telemetry import resolve as resolve_telemetry
+from repro.telemetry.registry import counted
 from repro.waku.message import WakuMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -72,15 +73,17 @@ SnapshotFetch = Callable[[int, Callable[[object], object]], None]
 class TreeSyncStats:
     """Per-peer sync accounting (experiment E12's measurement surface)."""
 
-    home_events: int = 0
-    foreign_events: int = 0
-    commits: int = 0
-    checkpoints_restored: int = 0
-    snapshots_restored: int = 0
-    bytes_consumed: int = 0
+    home_events: int = counted("treesync_events_total", kind="home")
+    foreign_events: int = counted("treesync_events_total", kind="foreign")
+    commits: int = counted("treesync_commits_total")
+    #: Writes or folds undone because an announced root did not match.
+    rollbacks: int = counted("treesync_rollbacks_total")
+    checkpoints_restored: int = counted("treesync_checkpoints_restored_total")
+    snapshots_restored: int = counted("treesync_snapshots_restored_total")
+    bytes_consumed: int = counted("treesync_bytes_consumed_total")
     #: Member deletions folded into this view (home replay or foreign
     #: digest recording) — the E15 revocation-propagation surface.
-    removals_applied: int = 0
+    removals_applied: int = counted("treesync_removals_total")
 
 
 class ShardSyncManager:
@@ -147,22 +150,7 @@ class ShardSyncManager:
         self.stats = TreeSyncStats()
         self.telemetry = resolve_telemetry(telemetry)
         registry = self.telemetry.registry
-        self._m_home_events = registry.counter(
-            "treesync_events_total", peer=peer_id, kind="home"
-        )
-        self._m_foreign_events = registry.counter(
-            "treesync_events_total", peer=peer_id, kind="foreign"
-        )
-        self._m_commits = registry.counter("treesync_commits_total", peer=peer_id)
-        self._m_rollbacks = registry.counter("treesync_rollbacks_total", peer=peer_id)
-        self._m_checkpoints = registry.counter(
-            "treesync_checkpoints_restored_total", peer=peer_id
-        )
-        self._m_snapshots = registry.counter(
-            "treesync_snapshots_restored_total", peer=peer_id
-        )
-        self._m_removals = registry.counter("treesync_removals_total", peer=peer_id)
-        self._m_bytes = registry.counter("treesync_bytes_consumed_total", peer=peer_id)
+        registry.expose(self.stats, peer=peer_id)
         #: Wall-clock (not simulated) seconds: checkpoint replay is real
         #: local hash work, the one place wall time is the honest measure.
         self._m_replay_seconds = registry.histogram(
@@ -226,15 +214,11 @@ class ShardSyncManager:
                 )
             self._pending[digest.shard_id] = digest.new_shard_root
             self.stats.foreign_events += 1
-            self._m_foreign_events.inc()
             if isinstance(item, ShardRemoval):
                 self.stats.removals_applied += 1
-                self._m_removals.inc()
         if isinstance(item, ShardRemoval):
             self._collapse_window = True
-        size = item.byte_size()
-        self.stats.bytes_consumed += size
-        self._m_bytes.inc(size)
+        self.stats.bytes_consumed += item.byte_size()
         self.seq = item.seq
         self._announced_root = item.new_global_root
 
@@ -262,12 +246,11 @@ class ShardSyncManager:
             # must not poison the shard (the genuine update for this seq
             # still has to apply cleanly).
             self.shard.write_leaf(local, old_leaf)
-            self._m_rollbacks.inc()
+            self.stats.rollbacks += 1
             raise InconsistentTreeUpdate(
                 "announced shard root does not match the locally replayed shard"
             )
         self.stats.home_events += 1
-        self._m_home_events.inc()
 
     def _remove_home(self, item: ShardRemoval) -> None:
         """Replay one home-shard deletion (a zero write, no path needed).
@@ -298,14 +281,12 @@ class ShardSyncManager:
         if self.shard.root != item.new_shard_root:
             # Roll back before rejecting, as for a forged registration.
             self.shard.write_leaf(local, old_leaf)
-            self._m_rollbacks.inc()
+            self.stats.rollbacks += 1
             raise InconsistentTreeUpdate(
                 "announced shard root does not match the locally replayed shard"
             )
         self.stats.home_events += 1
         self.stats.removals_applied += 1
-        self._m_home_events.inc()
-        self._m_removals.inc()
         # Local to the replay, not just to apply(): a removal replayed
         # from the store archive must collapse the window too.
         self._collapse_window = True
@@ -348,7 +329,7 @@ class ShardSyncManager:
             # _pending is kept: a genuine later recording can supersede it.
             # _collapse_window is kept too: the removal still awaits its
             # successful commit.
-            self._m_rollbacks.inc()
+            self.stats.rollbacks += 1
             raise InconsistentTreeUpdate(
                 "committed top-tree root does not match the announced global root"
             )
@@ -359,7 +340,6 @@ class ShardSyncManager:
         if not self._recent_roots or self._recent_roots[-1] != root:
             self._recent_roots.append(root)
         self.stats.commits += 1
-        self._m_commits.inc()
         return root
 
     @property
@@ -450,7 +430,6 @@ class ShardSyncManager:
         self.seq = checkpoint.seq
         self._announced_root = checkpoint.global_root
         self.stats.checkpoints_restored += 1
-        self._m_checkpoints.inc()
 
     def sync_from_store(
         self,
@@ -683,8 +662,10 @@ class ShardSyncManager:
                         # The replayed deltas' event/byte counters must
                         # roll back too, or a failed-over adoption
                         # double-counts the window in E12/E14 traffic.
+                        # Rollbacks are the exception: the ones inside the
+                        # failed attempt did happen.
+                        prior_stats["rollbacks"] = self.stats.rollbacks + 1
                         vars(self.stats).update(prior_stats)
-                        self._m_rollbacks.inc()
                         rejection.append(error)
                         return False
                     if on_done is not None:
@@ -875,13 +856,9 @@ class ShardSyncManager:
         # cross-check — a rolled-back attempt is not a restore.
         self.stats.checkpoints_restored += 1
         self.stats.snapshots_restored += 1
-        self._m_checkpoints.inc()
-        self._m_snapshots.inc()
         byte_size = getattr(snapshot, "byte_size", None)
         if callable(byte_size):
-            size = int(byte_size())
-            self.stats.bytes_consumed += size
-            self._m_bytes.inc(size)
+            self.stats.bytes_consumed += int(byte_size())
         return root
 
     # -- accounting -------------------------------------------------------------

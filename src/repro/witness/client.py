@@ -35,6 +35,7 @@ from repro.net.request import RequestDispatcher, RequestFailure
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.telemetry import resolve as resolve_telemetry
+from repro.telemetry.registry import counted
 from repro.crypto.field import FieldElement, ZERO
 from repro.treesync.messages import ShardRemoval, ShardUpdate
 from repro.treesync.witness import fold_path
@@ -48,7 +49,7 @@ from repro.witness.messages import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.validator import RootAcceptor, ValidatorStats
+    from repro.core.validator import RootAcceptor
 
 
 def verify_witness(
@@ -99,11 +100,16 @@ def checked_fold(
 
 @dataclass
 class WitnessCacheStats:
-    """Client-side cache accounting (experiment E14's client surface)."""
+    """Client-side accounting (experiment E14's client surface)."""
 
-    hits: int = 0
-    misses: int = 0
-    refreshes: int = 0
+    #: Publish-path witness acquisitions answered from the local cache.
+    hits: int = counted("witness_cache_hits_total")
+    #: Publish-path acquisitions that had to fetch from a provider.
+    misses: int = counted("witness_cache_misses_total")
+    #: Background witness re-fetches triggered by tree updates.
+    refreshes: int = counted("witness_refreshes_total")
+    #: Fetches that exhausted every provider.
+    fetch_failures: int = counted("witness_fetch_failures_total")
     invalidations: int = 0
     #: Responses this client refused as tampered/inconsistent — witness
     #: *or* snapshot; the whole client surface, not just cache fills (the
@@ -126,8 +132,7 @@ class WitnessCache:
     freshness-checked against the accepted-root window without any
     hashing.  ``get`` is a pure lookup — the hit/miss accounting lives in
     :meth:`WitnessClient.witness`, the one place an *acquisition* is
-    decided, so the cache-level and :class:`ValidatorStats`-level
-    counters can never disagree.
+    decided.
     """
 
     stats: WitnessCacheStats = field(default_factory=WitnessCacheStats)
@@ -185,7 +190,6 @@ class WitnessClient:
         timeout: float = 0.5,
         rounds: int = 2,
         hasher: NodeHasher | None = None,
-        validator_stats: "ValidatorStats | None" = None,
         telemetry=None,
     ) -> None:
         if not providers:
@@ -197,7 +201,6 @@ class WitnessClient:
         self.tree_depth = tree_depth
         self.executor = executor
         self.hasher = hasher
-        self.validator_stats = validator_stats
         self.cache = WitnessCache()
         #: Expected leaf per index (a member's own commitment), re-applied
         #: on background refreshes of that index.
@@ -229,12 +232,7 @@ class WitnessClient:
         self._m_fetch_rtt = registry.histogram(
             "witness_fetch_rtt_seconds", peer=peer_id
         )
-        self._m_fetch_failures = registry.counter(
-            "witness_fetch_failures_total", peer=peer_id
-        )
-        self._m_hits = registry.counter("witness_cache_hits_total", peer=peer_id)
-        self._m_misses = registry.counter("witness_cache_misses_total", peer=peer_id)
-        self._m_refreshes = registry.counter("witness_refreshes_total", peer=peer_id)
+        registry.expose(self.cache.stats, peer=peer_id)
         self._m_hit_ratio = registry.gauge("witness_cache_hit_ratio", peer=peer_id)
         # Failovers are exact from dispatcher accounting: every attempt
         # beyond a request's first one is, by construction, a failover
@@ -309,16 +307,10 @@ class WitnessClient:
                 cached = None  # the slot moved under us: force a re-fetch
         if cached is not None:
             self.cache.stats.hits += 1
-            self._m_hits.inc()
-            if self.validator_stats is not None:
-                self.validator_stats.witness_cache_hits += 1
             self._update_derived_gauges()
             on_done(cached)
             return
         self.cache.stats.misses += 1
-        self._m_misses.inc()
-        if self.validator_stats is not None:
-            self.validator_stats.witness_cache_misses += 1
         self._update_derived_gauges()
         self._fetch(
             index, on_done, on_error, expected_leaf=expected_leaf, trace=trace
@@ -383,7 +375,7 @@ class WitnessClient:
         def settled(result: object) -> None:
             self._update_derived_gauges()
             if isinstance(result, RequestFailure):
-                self._m_fetch_failures.inc()
+                self.cache.stats.fetch_failures += 1
                 if on_error is not None:
                     on_error(result)
                 return
@@ -492,9 +484,6 @@ class WitnessClient:
 
         def refresh(_result: object = None) -> None:
             self.cache.stats.refreshes += 1
-            self._m_refreshes.inc()
-            if self.validator_stats is not None:
-                self.validator_stats.witness_refreshes += 1
             self._fetch(index, lambda proof: None, None)
 
         if self.executor is None:

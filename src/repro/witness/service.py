@@ -26,6 +26,7 @@ from repro.errors import ProtocolError
 from repro.exec.executor import CryptoExecutor, Priority
 from repro.net.transport import Network
 from repro.telemetry import resolve as resolve_telemetry
+from repro.telemetry.registry import counted
 from repro.treesync.forest import ShardedMerkleForest
 from repro.treesync.witness import WitnessProvider
 from repro.witness.messages import (
@@ -39,7 +40,6 @@ from repro.witness.messages import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.membership import GroupManager
-    from repro.core.validator import ValidatorStats
 
 
 @dataclass
@@ -47,14 +47,16 @@ class WitnessServiceStats:
     """Service-side load accounting (experiment E14's server surface)."""
 
     witness_requests: int = 0
-    witnesses_served: int = 0
-    witness_misses: int = 0
+    witnesses_served: int = counted("witness_served_total", kind="witness")
+    witness_misses: int = counted("witness_service_misses_total", kind="witness")
     snapshot_requests: int = 0
-    snapshots_served: int = 0
-    snapshot_misses: int = 0
+    snapshots_served: int = counted("witness_served_total", kind="snapshot")
+    snapshot_misses: int = counted("witness_service_misses_total", kind="snapshot")
 
     @property
-    def served(self) -> int:
+    def total_served(self) -> int:
+        """Witness *and* snapshot responses served — the service load
+        :func:`~repro.analysis.metrics.witness_service_load` reports."""
         return self.witnesses_served + self.snapshots_served
 
 
@@ -65,10 +67,6 @@ class WitnessService:
     (either backend: the sharded forest splices through
     :class:`~repro.treesync.witness.WitnessProvider`; the flat tree's own
     paths are node-identical, so the answer is the same bytes either way).
-
-    ``validator_stats`` optionally mirrors the service-load counters into
-    the peer's :class:`~repro.core.validator.ValidatorStats`, so benchmark
-    tables report witness load alongside proof-verification work.
     """
 
     def __init__(
@@ -79,7 +77,6 @@ class WitnessService:
         *,
         executor: CryptoExecutor | None = None,
         priority: Priority = Priority.SERVICE,
-        validator_stats: "ValidatorStats | None" = None,
         telemetry=None,
     ) -> None:
         self.peer_id = peer_id
@@ -87,23 +84,12 @@ class WitnessService:
         self.network = network
         self.executor = executor
         self.priority = priority
-        self.validator_stats = validator_stats
         self.stats = WitnessServiceStats()
         self.telemetry = resolve_telemetry(telemetry)
         #: Distributed tracing: traced witness requests get a
         #: "witness-serve" span linked into the requester's trace.
         self.tracer = self.telemetry.tracer(peer_id)
-        registry = self.telemetry.registry
-        self._m_served = {
-            kind: registry.counter("witness_served_total", peer=peer_id, kind=kind)
-            for kind in ("witness", "snapshot")
-        }
-        self._m_misses = {
-            kind: registry.counter(
-                "witness_service_misses_total", peer=peer_id, kind=kind
-            )
-            for kind in ("witness", "snapshot")
-        }
+        self.telemetry.registry.expose(self.stats, peer=peer_id)
         #: Splicing provider over the forest (sharded backend only; the
         #: flat tree serves its native paths).
         self.provider: WitnessProvider | None = (
@@ -158,16 +144,12 @@ class WitnessService:
         tree = self.manager.tree
         if not 0 <= request.index < tree.leaf_count:
             self.stats.witness_misses += 1
-            self._m_misses["witness"].inc()
             return WitnessResponse(request_id=request.request_id, found=False)
         if self.provider is not None:
             proof = self.provider.witness(request.index)
         else:
             proof = tree.proof(request.index)
         self.stats.witnesses_served += 1
-        self._m_served["witness"].inc()
-        if self.validator_stats is not None:
-            self.validator_stats.witnesses_served += 1
         return WitnessResponse(
             request_id=request.request_id,
             found=True,
@@ -186,7 +168,6 @@ class WitnessService:
         num_shards = 1 << (tree.depth - shard_depth)
         if not 0 <= request.shard_id < num_shards:
             self.stats.snapshot_misses += 1
-            self._m_misses["snapshot"].inc()
             return SnapshotResponse(request_id=request.request_id, found=False)
         capacity = 1 << shard_depth
         start = request.shard_id * capacity
@@ -197,9 +178,6 @@ class WitnessService:
             if (leaf := tree.leaf(index)) != ZERO
         )
         self.stats.snapshots_served += 1
-        self._m_served["snapshot"].inc()
-        if self.validator_stats is not None:
-            self.validator_stats.witnesses_served += 1
         return SnapshotResponse(
             request_id=request.request_id,
             found=True,

@@ -20,6 +20,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
+from repro.telemetry import Telemetry
 from repro.treesync import CHECKPOINT_TOPIC, ShardSyncManager, TreeSyncPublisher
 from repro.treesync.messages import TreeCheckpoint
 from repro.waku.relay import WakuRelay
@@ -74,7 +75,14 @@ class TestStoreFallback:
             testing.register_member(chain, contract, 0x2000 + i)
         assert publisher.checkpoints_published >= 4
 
-        lagger = ShardSyncManager(home_shard=0, depth=DEPTH, shard_depth=SHARD_DEPTH)
+        telemetry = Telemetry()
+        lagger = ShardSyncManager(
+            home_shard=0,
+            depth=DEPTH,
+            shard_depth=SHARD_DEPTH,
+            telemetry=telemetry,
+            peer_id="lagger",
+        )
         client = StoreClient(names[1], network)
         roots = []
         lagger.sync_from_store(client, names[0], on_done=roots.append)
@@ -84,6 +92,12 @@ class TestStoreFallback:
         assert lagger.stats.checkpoints_restored == 1
         # The home topic replay covered shard 0's 8 members.
         assert lagger.stats.home_events == 8
+        # The exported byte count is the stats' count, archive replay
+        # included (it once missed the pre-checkpoint home updates).
+        exported = telemetry.snapshot().value(
+            "treesync_bytes_consumed_total", peer="lagger"
+        )
+        assert exported == lagger.stats.bytes_consumed > 0
 
     def test_catch_up_without_checkpoint(self, net, group):
         """With no checkpoint archived yet, the digest feed alone suffices."""

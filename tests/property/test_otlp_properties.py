@@ -17,13 +17,19 @@ robustness claim:
   arbitrarily merged — exactly what concurrent exporters produce)
   yields the same fleet snapshot.
 * **Decoders fail closed** — arbitrary bytes, and truncated, extended or
-  byte-mutated valid encodings, only ever make the telemetry and trace
-  wire decoders raise :class:`~repro.errors.ProtocolError`.
+  byte-mutated valid encodings, only ever make the telemetry, trace,
+  witness, tree-sync and message wire decoders raise
+  :class:`~repro.errors.ProtocolError`.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.messages import RateLimitProof
+from repro.core.wire import decode_message, encode_message
+from repro.crypto.field import FIELD_MODULUS, FieldElement
+from repro.crypto.merkle import MerkleProof
+from repro.crypto.optimized_merkle import TreeUpdate
 from repro.errors import ProtocolError
 from repro.telemetry import MetricsRegistry, TelemetrySnapshot
 from repro.telemetry.collector import fold_delta
@@ -31,13 +37,27 @@ from repro.telemetry.disttrace import SpanContext, SpanRecord
 from repro.telemetry.export import TelemetrySnapshot as Snapshot
 from repro.telemetry.otlp import (
     CounterDelta,
+    ExportAck,
     ExportRequest,
     GaugeValue,
     HistogramDelta,
     TelemetryBatch,
     compute_deltas,
 )
-from repro.witness.messages import WitnessRequest
+from repro.treesync.messages import (
+    ShardRemoval,
+    ShardRootDigest,
+    ShardUpdate,
+    TreeCheckpoint,
+)
+from repro.waku.message import WakuMessage
+from repro.witness.messages import (
+    SnapshotRequest,
+    SnapshotResponse,
+    WitnessRequest,
+    WitnessResponse,
+)
+from repro.zksnark.groth16 import Proof
 
 label_text = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
@@ -146,31 +166,172 @@ span_contexts = st.builds(
     hop=st.integers(min_value=0, max_value=2**16 - 1),
     origin=label_text,
 )
-#: Wire type -> (strict decoder, strategy of valid values).
+u32 = st.integers(min_value=0, max_value=2**32 - 1)
+field_elements = st.integers(min_value=0, max_value=FIELD_MODULUS - 1).map(FieldElement)
+field_pairs = st.lists(st.tuples(u32, field_elements), max_size=4).map(tuple)
+
+
+@st.composite
+def merkle_proofs(draw) -> MerkleProof:
+    depth = draw(st.integers(min_value=0, max_value=6))
+    index = draw(st.integers(min_value=0, max_value=2**depth - 1))
+    return MerkleProof(
+        leaf=draw(field_elements),
+        index=index,
+        siblings=tuple(draw(field_elements) for _ in range(depth)),
+        path_bits=tuple((index >> level) & 1 for level in range(depth)),
+    )
+
+
+@st.composite
+def shard_updates(draw) -> ShardUpdate:
+    path = draw(merkle_proofs())
+    global_root = draw(field_elements)
+    return ShardUpdate(
+        seq=draw(u64),
+        shard_id=draw(u32),
+        update=TreeUpdate(
+            index=path.index,
+            new_leaf=draw(field_elements),
+            path=path,
+            new_root=global_root,
+        ),
+        new_shard_root=draw(field_elements),
+        new_global_root=global_root,
+    )
+
+
+rate_limit_proofs = st.builds(
+    RateLimitProof,
+    share_x=field_elements,
+    share_y=field_elements,
+    internal_nullifier=field_elements,
+    epoch=u64,
+    root=field_elements,
+    proof=st.builds(
+        Proof,
+        a=st.binary(min_size=32, max_size=32),
+        b=st.binary(min_size=64, max_size=64),
+        c=st.binary(min_size=32, max_size=32),
+    ),
+)
+waku_messages = st.builds(
+    WakuMessage,
+    payload=st.binary(max_size=16),
+    content_topic=label_text,
+    timestamp=st.integers(min_value=0, max_value=2**40).map(lambda ms: ms / 1000.0),
+    ephemeral=st.booleans(),
+    rate_limit_proof=st.none() | rate_limit_proofs,
+)
+
+
+def encoded(values):
+    return values.map(lambda value: value.to_bytes())
+
+
+#: Wire type -> (strict decoder, strategy of valid encodings).
 WIRE_TYPES = {
-    "SpanContext": (SpanContext.from_bytes, span_contexts),
-    "SpanRecord": (SpanRecord.from_bytes, span_records),
-    "TelemetryBatch": (TelemetryBatch.from_bytes, batches),
+    "SpanContext": (SpanContext.from_bytes, encoded(span_contexts)),
+    "SpanRecord": (SpanRecord.from_bytes, encoded(span_records)),
+    "TelemetryBatch": (TelemetryBatch.from_bytes, encoded(batches)),
     "ExportRequest": (
         ExportRequest.from_bytes,
-        st.builds(ExportRequest, request_id=u64, batch=batches),
+        encoded(st.builds(ExportRequest, request_id=u64, batch=batches)),
+    ),
+    "ExportAck": (
+        ExportAck.from_bytes,
+        encoded(st.builds(ExportAck, request_id=u64, seq=u64, accepted=st.booleans())),
     ),
     "WitnessRequest": (
         WitnessRequest.from_bytes,
-        st.builds(
-            WitnessRequest,
-            request_id=u64,
-            index=u64,
-            trace=st.none() | span_contexts,
+        encoded(
+            st.builds(
+                WitnessRequest,
+                request_id=u64,
+                index=u64,
+                trace=st.none() | span_contexts,
+            )
         ),
     ),
+    "WitnessResponse": (
+        WitnessResponse.from_bytes,
+        encoded(
+            st.builds(
+                WitnessResponse,
+                request_id=u64,
+                found=st.booleans(),
+                seq=u64,
+                proof=st.none() | merkle_proofs(),
+            )
+        ),
+    ),
+    "SnapshotRequest": (
+        SnapshotRequest.from_bytes,
+        encoded(st.builds(SnapshotRequest, request_id=u64, shard_id=u32)),
+    ),
+    "SnapshotResponse": (
+        SnapshotResponse.from_bytes,
+        encoded(
+            st.builds(
+                SnapshotResponse,
+                request_id=u64,
+                found=st.booleans(),
+                shard_id=u32,
+                shard_depth=st.integers(min_value=0, max_value=255),
+                seq=u64,
+                leaves=field_pairs,
+            )
+        ),
+    ),
+    "ShardRootDigest": (
+        ShardRootDigest.from_bytes,
+        encoded(
+            st.builds(
+                ShardRootDigest,
+                seq=u64,
+                shard_id=u32,
+                new_shard_root=field_elements,
+                new_global_root=field_elements,
+            )
+        ),
+    ),
+    "ShardRemoval": (
+        ShardRemoval.from_bytes,
+        encoded(
+            st.builds(
+                ShardRemoval,
+                seq=u64,
+                shard_id=u32,
+                index=u64,
+                removed_leaf=field_elements,
+                new_shard_root=field_elements,
+                new_global_root=field_elements,
+            )
+        ),
+    ),
+    "ShardUpdate": (ShardUpdate.from_bytes, encoded(shard_updates())),
+    "TreeCheckpoint": (
+        TreeCheckpoint.from_bytes,
+        encoded(
+            st.builds(
+                TreeCheckpoint,
+                seq=u64,
+                depth=st.integers(min_value=0, max_value=255),
+                shard_depth=st.integers(min_value=0, max_value=255),
+                leaf_count=u64,
+                shard_roots=field_pairs,
+                global_root=field_elements,
+            )
+        ),
+    ),
+    "decode_message": (decode_message, waku_messages.map(encode_message)),
 }
 
 
 @st.composite
-def corrupted(draw, values) -> bytes:
+def corrupted(draw, encodings) -> bytes:
     """A valid encoding, truncated, extended, or with bytes overwritten."""
-    data = bytearray(draw(values).to_bytes())
+    data = bytearray(draw(encodings))
     how = draw(st.sampled_from(("truncate", "extend", "mutate")))
     if how == "truncate":
         return bytes(data[: draw(st.integers(0, max(0, len(data) - 1)))])
@@ -185,8 +346,8 @@ def corrupted(draw, values) -> bytes:
 @given(st.data())
 def test_decoders_raise_only_protocol_error(data):
     name = data.draw(st.sampled_from(sorted(WIRE_TYPES)), label="type")
-    decode, values = WIRE_TYPES[name]
-    raw = data.draw(st.binary(max_size=96) | corrupted(values), label="bytes")
+    decode, encodings = WIRE_TYPES[name]
+    raw = data.draw(st.binary(max_size=96) | corrupted(encodings), label="bytes")
     try:
         decode(raw)
     except ProtocolError:

@@ -128,16 +128,13 @@ class TestReporting:
 
 
 class TestWitnessServiceLoad:
-    def test_aggregates_validator_stats(self):
+    def test_aggregates_service_and_cache_stats(self):
         from repro.analysis.metrics import witness_service_load
-        from repro.core.validator import ValidatorStats
+        from repro.witness.client import WitnessCacheStats
+        from repro.witness.service import WitnessServiceStats
 
-        server = ValidatorStats()
-        server.witnesses_served = 7
-        client = ValidatorStats()
-        client.witness_cache_hits = 3
-        client.witness_cache_misses = 1
-        client.witness_refreshes = 2
+        server = WitnessServiceStats(witnesses_served=5, snapshots_served=2)
+        client = WitnessCacheStats(hits=3, misses=1, refreshes=2)
         load = witness_service_load([server, client])
         assert load.witnesses_served == 7
         assert load.acquisitions == 4

@@ -15,11 +15,11 @@ The load-bearing guarantees:
 """
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from repro.analysis.reporting import percentile as exact_percentile
-from repro.core.validator import ValidationOutcome, ValidatorStats
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     NULL_COUNTER,
@@ -35,11 +35,11 @@ from repro.telemetry import (
     TelemetrySnapshot,
     Tracer,
     metric_key,
-    mirror_stats,
     render_prometheus,
     resolve,
 )
 from repro.telemetry import tracing
+from repro.telemetry.registry import counted
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,59 @@ def test_registry_rejects_kind_collisions():
     registry.counter("thing")
     with pytest.raises(TypeError):
         registry.gauge("thing")
+
+
+@dataclass
+class DemoStats:
+    events: int = counted("demo_events_total")
+    won: int = counted("demo_races_total", outcome="won")
+    drops: dict[str, int] = counted("demo_drops_total", label="stage")
+    uncounted: int = 0
+
+
+def test_expose_reads_fields_at_collect():
+    registry = MetricsRegistry()
+    stats = DemoStats()
+    registry.expose(stats, peer="p1")
+    # Scalar fields appear at binding, dict keys at their first count.
+    assert set(registry.collect()) == {
+        "demo_events_total{peer=p1}",
+        "demo_races_total{outcome=won,peer=p1}",
+    }
+    stats.events += 3
+    stats.drops["verify"] = 2
+    collected = registry.collect()
+    assert collected["demo_events_total{peer=p1}"]["value"] == 3
+    assert collected["demo_drops_total{peer=p1,stage=verify}"] == {
+        "name": "demo_drops_total",
+        "kind": "counter",
+        "labels": {"peer": "p1", "stage": "verify"},
+        "value": 2,
+    }
+    # The handle reads the live field; binding again never double-counts.
+    handle = registry.counter("demo_events_total", peer="p1")
+    stats.events += 1
+    registry.expose(stats, peer="p1")
+    assert handle.value == 4
+    assert registry.collect()["demo_events_total{peer=p1}"]["value"] == 4
+
+
+def test_expose_sums_objects_sharing_a_key():
+    registry = MetricsRegistry()
+    a, b = DemoStats(events=2), DemoStats(events=5)
+    registry.expose(a, peer="p")
+    registry.expose(b, peer="p")
+    assert registry.counter("demo_events_total", peer="p").value == 7
+
+
+def test_fan_out_key_asked_for_before_its_first_count():
+    registry = MetricsRegistry()
+    stats = DemoStats()
+    registry.expose(stats, peer="p1")
+    handle = registry.counter("demo_drops_total", peer="p1", stage="late")
+    stats.drops["late"] = 1
+    assert handle.value == 1
+    assert registry.collect()["demo_drops_total{peer=p1,stage=late}"]["value"] == 1
 
 
 def test_gauge_set_and_add():
@@ -136,6 +189,7 @@ def test_null_registry_hands_out_shared_singletons():
     assert NULL_COUNTER.value == 0
     assert NULL_GAUGE.value == 0.0
     assert NULL_HISTOGRAM.count == 0 and NULL_HISTOGRAM.p99 == 0.0
+    NULL_REGISTRY.expose(DemoStats(events=1), peer="p1")
     assert NULL_REGISTRY.collect() == {}
     assert not NULL_REGISTRY.enabled
 
@@ -274,28 +328,6 @@ def test_render_prometheus_text_format():
     assert 'latency_seconds_bucket{peer="p1",le="+Inf"} 4' in lines
     assert 'latency_seconds_count{peer="p1"} 4' in lines
     assert any(line.startswith('latency_seconds_sum{peer="p1"}') for line in lines)
-
-
-def test_mirror_stats_fans_out_dataclass_fields():
-    registry = MetricsRegistry()
-    stats = ValidatorStats()
-    stats.record(ValidationOutcome.VALID)
-    stats.record(ValidationOutcome.VALID)
-    stats.record(ValidationOutcome.SPAM)
-    stats.proofs_verified = 5
-    mirror_stats(registry, "validator", stats, peer="p1")
-    snapshot = TelemetrySnapshot.of(registry)
-    assert snapshot.value("validator_proofs_verified", peer="p1") == 5
-    assert snapshot.value("validator_outcomes", peer="p1", key="valid") == 2
-    assert snapshot.value("validator_outcomes", peer="p1", key="spam") == 1
-    # Idempotent: re-mirroring is a set, never a double count.
-    mirror_stats(registry, "validator", stats, peer="p1")
-    assert (
-        TelemetrySnapshot.of(registry).value("validator_proofs_verified", peer="p1")
-        == 5
-    )
-    with pytest.raises(TypeError):
-        mirror_stats(registry, "x", object())
 
 
 def test_render_prometheus_escapes_label_values():

@@ -8,7 +8,6 @@ from repro import testing
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.membership import GroupManager
-from repro.core.validator import ValidatorStats
 from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleTree
 from repro.errors import InconsistentTreeUpdate, ProtocolError
@@ -60,8 +59,7 @@ def env():
     return sim, network, names, manager, members
 
 
-def make_client(env, *, executor=None, providers=None, timeout=0.2, rounds=2,
-                validator_stats=None):
+def make_client(env, *, executor=None, providers=None, timeout=0.2, rounds=2):
     sim, network, names, manager, _ = env
     return WitnessClient(
         names[1],
@@ -73,7 +71,6 @@ def make_client(env, *, executor=None, providers=None, timeout=0.2, rounds=2,
         executor=executor,
         timeout=timeout,
         rounds=rounds,
-        validator_stats=validator_stats,
     )
 
 
@@ -139,8 +136,7 @@ class TestWitnessFetch:
     def test_cache_hit_is_local_and_counted(self, env):
         sim, network, names, manager, _ = env
         WitnessService(names[0], manager, network)
-        stats = ValidatorStats()
-        client = make_client(env, validator_stats=stats)
+        client = make_client(env)
         client.witness(5, lambda proof: None)
         sim.run(2.0)
         attempts = client.dispatcher.stats.attempts
@@ -149,8 +145,7 @@ class TestWitnessFetch:
         assert got
         assert client.dispatcher.stats.attempts == attempts  # no new fetch
         assert client.cache.stats.hits == 1
-        assert stats.witness_cache_hits == 1
-        assert stats.witness_cache_misses == 1
+        assert client.cache.stats.misses == 1
 
     def test_out_of_range_index_fails_over_to_failure(self, env):
         sim, network, names, manager, _ = env
@@ -258,8 +253,7 @@ class TestInvalidationAndBackgroundRefresh:
         sim, network, names, manager, _ = env
         WitnessService(names[0], manager, network)
         executor = SimulatedCryptoExecutor(sim, 1)
-        stats = ValidatorStats()
-        client = make_client(env, executor=executor, validator_stats=stats)
+        client = make_client(env, executor=executor)
         manager.on_shard_update(client.on_tree_update)
         client.witness(5, lambda proof: None)
         sim.run(2.0)
@@ -276,7 +270,6 @@ class TestInvalidationAndBackgroundRefresh:
         assert fresh != old
         assert executor.stats.classes[Priority.BACKGROUND].submitted >= 1
         assert client.cache.stats.refreshes >= 1
-        assert stats.witness_refreshes >= 1
 
     def test_in_flight_fetch_does_not_repopulate_invalidated_cache(self, env):
         """A response that was in flight when the tree moved must not
