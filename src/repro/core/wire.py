@@ -14,8 +14,8 @@ offset  size  field
 6       n     payload m
 6+n     2     content-topic length  t
 8+n     t     content topic (utf-8)
-...     8     timestamp (milliseconds since Unix epoch, unsigned)
-...     1     flags (bit 0: ephemeral, bit 1: proof present)
+...     8     timestamp (milliseconds since Unix epoch, unsigned, rounded)
+...     1     flags (bit 0: ephemeral, bit 1: proof present; others rejected)
 -- when the proof flag is set --
 ...     32    share_x
 ...     32    share_y
@@ -28,114 +28,84 @@ offset  size  field
 
 from __future__ import annotations
 
-import struct
-
+from repro.codec import FIELD, MILLIS, STR, U16, U32, U64, Optional, Record
+from repro.codec import blob, const, decode, encode, flags, raw
 from repro.core.messages import RateLimitProof
-from repro.crypto.field import FieldElement
 from repro.errors import ProtocolError
 from repro.waku.message import WakuMessage
-from repro.zksnark.groth16 import PROOF_SIZE, Proof
+from repro.zksnark.groth16 import Proof
 
 WIRE_VERSION = 1
 
 _FLAG_EPHEMERAL = 0x01
 _FLAG_PROOF = 0x02
 
+#: The proof section: §III-E's (x, y), phi, epoch, tau and pi.
+_RATE_LIMIT_PROOF = Record(
+    ("share_x", FIELD),
+    ("share_y", FIELD),
+    ("internal_nullifier", FIELD),
+    ("epoch", U64),
+    ("root", FIELD),
+    ("proof", Record(("a", raw(32)), ("b", raw(64)), ("c", raw(32)), build=Proof)),
+    build=RateLimitProof,
+)
+
 #: Fixed size of the encoded proof section.
-PROOF_SECTION_SIZE = 32 * 4 + 8 + PROOF_SIZE
+PROOF_SECTION_SIZE = _RATE_LIMIT_PROOF.width
+
+
+def _split(message: WakuMessage) -> tuple:
+    proof = message.rate_limit_proof
+    if proof is not None and not isinstance(proof, RateLimitProof):
+        raise ProtocolError("wire format only carries RateLimitProof bundles")
+    bits = (_FLAG_EPHEMERAL if message.ephemeral else 0) | (
+        0 if proof is None else _FLAG_PROOF
+    )
+    return (
+        WIRE_VERSION,
+        message.payload,
+        message.content_topic,
+        message.timestamp,
+        bits,
+        proof,
+    )
+
+
+def _build(
+    version: int,
+    payload: bytes,
+    topic: str,
+    timestamp: float,
+    bits: int,
+    proof: RateLimitProof | None,
+) -> WakuMessage:
+    return WakuMessage(
+        payload=payload,
+        content_topic=topic,
+        timestamp=timestamp,
+        ephemeral=bool(bits & _FLAG_EPHEMERAL),
+        rate_limit_proof=proof,
+    )
+
+
+_MESSAGE = Record(
+    ("version", const(U16, WIRE_VERSION)),
+    ("payload", blob(U32)),
+    ("content_topic", STR),
+    ("timestamp", MILLIS),
+    ("flags", flags(_FLAG_EPHEMERAL | _FLAG_PROOF)),
+    ("rate_limit_proof", Optional(_RATE_LIMIT_PROOF, flag=("flags", _FLAG_PROOF))),
+    build=_build,
+    split=_split,
+)
 
 
 def encode_message(message: WakuMessage) -> bytes:
     """Serialize a WakuMessage (with optional rate-limit proof) to bytes."""
-    payload = message.payload
-    topic = message.content_topic.encode("utf-8")
-    if len(payload) > 0xFFFFFFFF:
-        raise ProtocolError("payload too large for wire format")
-    if len(topic) > 0xFFFF:
-        raise ProtocolError("content topic too long for wire format")
-    flags = 0
-    if message.ephemeral:
-        flags |= _FLAG_EPHEMERAL
-    proof = message.rate_limit_proof
-    if proof is not None and not isinstance(proof, RateLimitProof):
-        raise ProtocolError("wire format only carries RateLimitProof bundles")
-    if proof is not None:
-        flags |= _FLAG_PROOF
-    timestamp_ms = max(0, int(message.timestamp * 1000))
-    head = struct.pack(
-        f">HI{len(payload)}sH{len(topic)}sQB",
-        WIRE_VERSION,
-        len(payload),
-        payload,
-        len(topic),
-        topic,
-        timestamp_ms,
-        flags,
-    )
-    if proof is None:
-        return head
-    body = (
-        proof.share_x.to_bytes()
-        + proof.share_y.to_bytes()
-        + proof.internal_nullifier.to_bytes()
-        + struct.pack(">Q", proof.epoch)
-        + proof.root.to_bytes()
-        + proof.proof.serialize()
-    )
-    return head + body
+    return encode(_MESSAGE, message)
 
 
 def decode_message(data: bytes) -> WakuMessage:
     """Parse bytes produced by :func:`encode_message`."""
-    try:
-        (version, payload_length) = struct.unpack_from(">HI", data, 0)
-        if version != WIRE_VERSION:
-            raise ProtocolError(f"unsupported wire version {version}")
-        offset = 6
-        payload = data[offset : offset + payload_length]
-        if len(payload) != payload_length:
-            raise ProtocolError("truncated payload")
-        offset += payload_length
-        (topic_length,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        topic_bytes = data[offset : offset + topic_length]
-        if len(topic_bytes) != topic_length:
-            raise ProtocolError("truncated content topic")
-        try:
-            topic = topic_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"content topic is not valid utf-8: {exc}") from exc
-        offset += topic_length
-        (timestamp_ms, flags) = struct.unpack_from(">QB", data, offset)
-        offset += 9
-    except struct.error as exc:
-        raise ProtocolError(f"malformed wire message: {exc}") from exc
-
-    proof = None
-    if flags & _FLAG_PROOF:
-        section = data[offset : offset + PROOF_SECTION_SIZE]
-        if len(section) != PROOF_SECTION_SIZE:
-            raise ProtocolError("truncated proof section")
-        share_x = FieldElement.from_bytes(section[0:32])
-        share_y = FieldElement.from_bytes(section[32:64])
-        nullifier = FieldElement.from_bytes(section[64:96])
-        (epoch,) = struct.unpack_from(">Q", section, 96)
-        root = FieldElement.from_bytes(section[104:136])
-        proof = RateLimitProof(
-            share_x=share_x,
-            share_y=share_y,
-            internal_nullifier=nullifier,
-            epoch=epoch,
-            root=root,
-            proof=Proof.deserialize(section[136:]),
-        )
-        offset += PROOF_SECTION_SIZE
-    if offset != len(data):
-        raise ProtocolError(f"{len(data) - offset} trailing bytes after message")
-    return WakuMessage(
-        payload=payload,
-        content_topic=topic,
-        timestamp=timestamp_ms / 1000.0,
-        ephemeral=bool(flags & _FLAG_EPHEMERAL),
-        rate_limit_proof=proof,
-    )
+    return decode(_MESSAGE, data)

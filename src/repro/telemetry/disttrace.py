@@ -25,20 +25,16 @@ collector puts them back together:
   publish→verdict latency *per assembled trace*, and the per-stage
   waterfall exemplars the collector attaches to its histogram rows.
 
-The module also owns the telemetry wire's string codec
-(:func:`_encode_str` / :func:`_decode_str`), which
-:mod:`repro.telemetry.otlp` reuses.  It imports nothing else from the
-telemetry package, so the wire layer can embed :class:`SpanRecord`
-without an import cycle.  Every decoder raises only
-:class:`~repro.errors.ProtocolError` on malformed bytes.
+The wire layouts are field specs in :mod:`repro.codec`.  This module
+imports nothing from the rest of the telemetry package, so the wire
+layer can embed :class:`SpanRecord` without an import cycle.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-from repro.errors import ProtocolError
+from repro.codec import F64, STR, U16, U64, U128, Repeated, message, row
 
 #: Parent sentinel of a root span (a real span id is never 0: it is a
 #: 64-bit truncated SHA-256 of a unique mint string).
@@ -46,40 +42,11 @@ NO_PARENT = 0
 
 Marks = tuple[tuple[str, float], ...]
 
-_U16 = struct.Struct(">H")
-_STAMP = struct.Struct(">d")
-_RECORD_HEAD = struct.Struct(">QQQHdd")
-
-
-def _unpack(layout: struct.Struct, data: bytes, offset: int) -> tuple[tuple, int]:
-    """Bounds-checked ``unpack_from``: truncation is a ``ProtocolError``."""
-    end = offset + layout.size
-    if end > len(data):
-        raise ProtocolError(f"truncated: {layout.size} bytes needed at {offset}")
-    return layout.unpack_from(data, offset), end
-
-
-def _encode_str(value: str) -> bytes:
-    data = value.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise ProtocolError(f"string too long for wire ({len(data)} bytes)")
-    return _U16.pack(len(data)) + data
-
-
-def _decode_str(data: bytes, offset: int) -> tuple[str, int]:
-    (length,), offset = _unpack(_U16, data, offset)
-    end = offset + length
-    if end > len(data):
-        raise ProtocolError("truncated string")
-    try:
-        return data[offset:end].decode("utf-8"), end
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"string is not UTF-8: {exc.reason}") from exc
-
 
 # -- wire types ---------------------------------------------------------------
 
 
+@message(("trace_id", U128), ("span_id", U64), ("hop", U16), ("origin", STR))
 @dataclass(frozen=True)
 class SpanContext:
     """The on-the-wire trace context: who to hang the next span under.
@@ -97,33 +64,20 @@ class SpanContext:
     def child_hop(self) -> int:
         return self.hop + 1
 
-    def to_bytes(self) -> bytes:
-        return (
-            self.trace_id.to_bytes(16, "big")
-            + struct.pack(">QH", self.span_id, self.hop)
-            + _encode_str(self.origin)
-        )
 
-    @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["SpanContext", int]:
-        if offset + 26 > len(data):
-            raise ProtocolError("truncated SpanContext")
-        trace_id = int.from_bytes(data[offset : offset + 16], "big")
-        span_id, hop = struct.unpack_from(">QH", data, offset + 16)
-        origin, offset = _decode_str(data, offset + 26)
-        return cls(trace_id=trace_id, span_id=span_id, hop=hop, origin=origin), offset
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SpanContext":
-        ctx, offset = cls.decode(data, 0)
-        if offset != len(data):
-            raise ProtocolError("trailing bytes after SpanContext")
-        return ctx
-
-    def byte_size(self) -> int:
-        return 26 + 2 + len(self.origin.encode("utf-8"))
-
-
+@message(
+    ("trace_id", U128),
+    ("span_id", U64),
+    ("parent_id", U64),
+    ("seq", U64),
+    ("hop", U16),
+    ("start", F64),
+    ("end", F64),
+    ("peer", STR),
+    ("origin", STR),
+    ("kind", STR),
+    ("marks", Repeated(row(STR, F64))),
+)
 @dataclass(frozen=True)
 class SpanRecord:
     """One finished span as exported to the collector.
@@ -150,65 +104,6 @@ class SpanRecord:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    def to_bytes(self) -> bytes:
-        out = [
-            self.trace_id.to_bytes(16, "big"),
-            _RECORD_HEAD.pack(self.span_id, self.parent_id, self.seq,
-                              self.hop, self.start, self.end),
-            _encode_str(self.peer),
-            _encode_str(self.origin),
-            _encode_str(self.kind),
-            _U16.pack(len(self.marks)),
-        ]
-        for stage, stamp in self.marks:
-            out.append(_encode_str(stage))
-            out.append(_STAMP.pack(stamp))
-        return b"".join(out)
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["SpanRecord", int]:
-        if offset + 16 > len(data):
-            raise ProtocolError("truncated SpanRecord")
-        trace_id = int.from_bytes(data[offset : offset + 16], "big")
-        (span_id, parent_id, seq, hop, start, end), offset = _unpack(
-            _RECORD_HEAD, data, offset + 16
-        )
-        peer, offset = _decode_str(data, offset)
-        origin, offset = _decode_str(data, offset)
-        kind, offset = _decode_str(data, offset)
-        (n_marks,), offset = _unpack(_U16, data, offset)
-        marks = []
-        for _ in range(n_marks):
-            stage, offset = _decode_str(data, offset)
-            (stamp,), offset = _unpack(_STAMP, data, offset)
-            marks.append((stage, stamp))
-        return (
-            cls(
-                trace_id=trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
-                seq=seq,
-                peer=peer,
-                origin=origin,
-                kind=kind,
-                hop=hop,
-                start=start,
-                end=end,
-                marks=tuple(marks),
-            ),
-            offset,
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SpanRecord":
-        record, offset = cls.decode(data, 0)
-        if offset != len(data):
-            raise ProtocolError("trailing bytes after SpanRecord")
-        return record
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
 
 
 # -- assembly (collector side) -------------------------------------------------

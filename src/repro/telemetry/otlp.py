@@ -27,25 +27,24 @@ revocation trace rides the metric path as ``trace_stage_seconds``
 histogram deltas, and per-trace detail travels only as the head-sampled
 :class:`~repro.telemetry.disttrace.SpanRecord` entries of a batch.
 
-Every type serialises to bytes with the same conventions as the tree-sync
-and witness wire artefacts (strings via the shared codec in
-:mod:`repro.telemetry.disttrace`); decoders raise only
-:class:`~repro.errors.ProtocolError` on malformed bytes.  The simulated
-network carries the dataclasses and bills ``byte_size() ==
-len(to_bytes())``, so the E17 telemetry/relay byte ratio reflects honest
-wire cost (including re-sending the 33 default bucket bounds only when a
-histogram uses *non*-default buckets — the default set travels as a
-one-byte flag).
+Every type's wire layout is a field spec in :mod:`repro.codec`, whose
+decoders are strict and raise only :class:`~repro.errors.ProtocolError`
+on malformed bytes.  The simulated network carries the dataclasses and
+bills ``byte_size() == len(to_bytes())``, so the E17 telemetry/relay
+byte ratio reflects honest wire cost (including re-sending the 33
+default bucket bounds only when a histogram uses *non*-default buckets
+— the default set travels as a one-byte flag).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.errors import ProtocolError
-from repro.telemetry.disttrace import SpanRecord, _decode_str, _encode_str
+from repro.codec import (
+    BOOL, F64, I32, I64, STR, U8, U16, U32, U64, Optional, Repeated, Union, message, row
+)
+from repro.telemetry.disttrace import SpanRecord
 from repro.telemetry.registry import DEFAULT_BUCKETS, metric_key
 
 #: Protocol channel export requests travel on (peer -> collector).
@@ -64,52 +63,18 @@ def labels_of(mapping: Mapping[str, str]) -> Labels:
     return tuple(sorted(mapping.items()))
 
 
-# -- primitive codecs ---------------------------------------------------------
+#: ``(key, value)`` pairs behind a one-byte count.
+LABELS = Repeated(row(STR, STR), count=U8)
 
-
-def _encode_labels(labels: Labels) -> bytes:
-    if len(labels) > 0xFF:
-        raise ProtocolError("too many labels")
-    out = [struct.pack(">B", len(labels))]
-    for key, value in labels:
-        out.append(_encode_str(key))
-        out.append(_encode_str(value))
-    return b"".join(out)
-
-
-def _decode_labels(data: bytes, offset: int) -> tuple[Labels, int]:
-    (count,) = struct.unpack_from(">B", data, offset)
-    offset += 1
-    labels = []
-    for _ in range(count):
-        key, offset = _decode_str(data, offset)
-        value, offset = _decode_str(data, offset)
-        labels.append((key, value))
-    return tuple(labels), offset
-
-
-def _encode_number(value: int | float) -> bytes:
-    """Type-preserving scalar: ints stay ints through the round trip."""
-    if isinstance(value, bool):
-        raise ProtocolError("bool is not a wire scalar")
-    if isinstance(value, int):
-        return struct.pack(">Bq", 0, value)
-    return struct.pack(">Bd", 1, value)
-
-
-def _decode_number(data: bytes, offset: int) -> tuple[int | float, int]:
-    (flag,) = struct.unpack_from(">B", data, offset)
-    offset += 1
-    if flag == 0:
-        (value,) = struct.unpack_from(">q", data, offset)
-        return value, offset + 8
-    (value,) = struct.unpack_from(">d", data, offset)
-    return value, offset + 8
+#: Type-preserving scalar: ints stay ints through the round trip (a
+#: bool is not a wire scalar).
+NUMBER = Union((0, int, I64), (1, float, F64))
 
 
 # -- metric deltas ------------------------------------------------------------
 
 
+@message(("name", STR), ("labels", LABELS), ("delta", NUMBER), tag=ord("C"))
 @dataclass(frozen=True)
 class CounterDelta:
     """Counter increment since the previous exported batch."""
@@ -119,28 +84,13 @@ class CounterDelta:
     delta: int | float
 
     kind = "counter"
-    tag = b"C"
 
     @property
     def key(self) -> str:
         return metric_key(self.name, dict(self.labels))
 
-    def to_bytes(self) -> bytes:
-        return (
-            self.tag
-            + _encode_str(self.name)
-            + _encode_labels(self.labels)
-            + _encode_number(self.delta)
-        )
 
-    @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["CounterDelta", int]:
-        name, offset = _decode_str(data, offset)
-        labels, offset = _decode_labels(data, offset)
-        delta, offset = _decode_number(data, offset)
-        return cls(name=name, labels=labels, delta=delta), offset
-
-
+@message(("name", STR), ("labels", LABELS), ("value", NUMBER), tag=ord("G"))
 @dataclass(frozen=True)
 class GaugeValue:
     """Gauge last-value (OTLP gauges are not additive; fold = replace)."""
@@ -150,28 +100,23 @@ class GaugeValue:
     value: int | float
 
     kind = "gauge"
-    tag = b"G"
 
     @property
     def key(self) -> str:
         return metric_key(self.name, dict(self.labels))
 
-    def to_bytes(self) -> bytes:
-        return (
-            self.tag
-            + _encode_str(self.name)
-            + _encode_labels(self.labels)
-            + _encode_number(self.value)
-        )
 
-    @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["GaugeValue", int]:
-        name, offset = _decode_str(data, offset)
-        labels, offset = _decode_labels(data, offset)
-        value, offset = _decode_number(data, offset)
-        return cls(name=name, labels=labels, value=value), offset
-
-
+@message(
+    ("name", STR),
+    ("labels", LABELS),
+    ("le", Optional(Repeated(F64))),
+    ("count_delta", U64),
+    ("sum_total", F64),
+    ("min_total", F64),
+    ("max_total", F64),
+    ("bucket_deltas", Repeated(row(U16, U64))),
+    tag=ord("H"),
+)
 @dataclass(frozen=True)
 class HistogramDelta:
     """Histogram window: delta buckets/count, cumulative sum/min/max.
@@ -192,7 +137,6 @@ class HistogramDelta:
     le: tuple[float, ...] | None = None
 
     kind = "histogram"
-    tag = b"H"
 
     @property
     def key(self) -> str:
@@ -202,72 +146,15 @@ class HistogramDelta:
     def bounds(self) -> tuple[float, ...]:
         return DEFAULT_BUCKETS if self.le is None else self.le
 
-    def to_bytes(self) -> bytes:
-        out = [self.tag, _encode_str(self.name), _encode_labels(self.labels)]
-        if self.le is None:
-            out.append(struct.pack(">B", 0))
-        else:
-            out.append(struct.pack(">BH", 1, len(self.le)))
-            out.append(struct.pack(f">{len(self.le)}d", *self.le))
-        out.append(
-            struct.pack(
-                ">Qddd",
-                self.count_delta,
-                self.sum_total,
-                self.min_total,
-                self.max_total,
-            )
-        )
-        out.append(struct.pack(">H", len(self.bucket_deltas)))
-        for index, delta in self.bucket_deltas:
-            out.append(struct.pack(">HQ", index, delta))
-        return b"".join(out)
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["HistogramDelta", int]:
-        name, offset = _decode_str(data, offset)
-        labels, offset = _decode_labels(data, offset)
-        (explicit,) = struct.unpack_from(">B", data, offset)
-        offset += 1
-        le: tuple[float, ...] | None = None
-        if explicit:
-            (n_bounds,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            le = struct.unpack_from(f">{n_bounds}d", data, offset)
-            offset += 8 * n_bounds
-        count_delta, sum_total, min_total, max_total = struct.unpack_from(
-            ">Qddd", data, offset
-        )
-        offset += 32
-        (n_pairs,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        pairs = []
-        for _ in range(n_pairs):
-            index, delta = struct.unpack_from(">HQ", data, offset)
-            offset += 10
-            pairs.append((index, delta))
-        return (
-            cls(
-                name=name,
-                labels=labels,
-                count_delta=count_delta,
-                sum_total=sum_total,
-                min_total=min_total,
-                max_total=max_total,
-                bucket_deltas=tuple(pairs),
-                le=le,
-            ),
-            offset,
-        )
-
 
 MetricDelta = CounterDelta | GaugeValue | HistogramDelta
 
-_METRIC_DECODERS = {
-    CounterDelta.tag: CounterDelta.decode,
-    GaugeValue.tag: GaugeValue.decode,
-    HistogramDelta.tag: HistogramDelta.decode,
-}
+#: A metric delta, picked by its leading tag byte.
+METRIC = Union(
+    *CounterDelta.codec.members,
+    *GaugeValue.codec.members,
+    *HistogramDelta.codec.members,
+)
 
 
 def compute_deltas(
@@ -321,6 +208,16 @@ def compute_deltas(
 # -- batches ------------------------------------------------------------------
 
 
+@message(
+    ("peer", STR),
+    ("role", STR),
+    ("shard", I32),
+    ("seq", U64),
+    ("time", F64),
+    ("dropped_batches", U64),
+    ("metrics", Repeated(METRIC, count=U32)),
+    ("spans", Repeated(SpanRecord.codec)),
+)
 @dataclass(frozen=True)
 class TelemetryBatch:
     """One export interval: resource attributes + metric deltas + spans.
@@ -342,72 +239,8 @@ class TelemetryBatch:
     #: empty (2 wire bytes) when sampling is off.
     spans: tuple[SpanRecord, ...] = ()
 
-    def to_bytes(self) -> bytes:
-        out = [
-            _encode_str(self.peer),
-            _encode_str(self.role),
-            struct.pack(
-                ">iQdQ", self.shard, self.seq, self.time, self.dropped_batches
-            ),
-            struct.pack(">I", len(self.metrics)),
-        ]
-        for metric in self.metrics:
-            out.append(metric.to_bytes())
-        out.append(struct.pack(">H", len(self.spans)))
-        for span in self.spans:
-            out.append(span.to_bytes())
-        return b"".join(out)
 
-    @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["TelemetryBatch", int]:
-        try:
-            peer, offset = _decode_str(data, offset)
-            role, offset = _decode_str(data, offset)
-            shard, seq, time, dropped = struct.unpack_from(">iQdQ", data, offset)
-            offset += 28
-            (n_metrics,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            metrics = []
-            for _ in range(n_metrics):
-                tag = data[offset : offset + 1]
-                decoder = _METRIC_DECODERS.get(tag)
-                if decoder is None:
-                    raise ProtocolError(f"unknown metric tag {tag!r}")
-                metric, offset = decoder(data, offset + 1)
-                metrics.append(metric)
-            (n_spans,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            spans = []
-            for _ in range(n_spans):
-                span, offset = SpanRecord.decode(data, offset)
-                spans.append(span)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed TelemetryBatch: {exc}") from exc
-        return (
-            cls(
-                peer=peer,
-                role=role,
-                shard=shard,
-                seq=seq,
-                time=time,
-                dropped_batches=dropped,
-                metrics=tuple(metrics),
-                spans=tuple(spans),
-            ),
-            offset,
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TelemetryBatch":
-        batch, offset = cls.decode(data, 0)
-        if offset != len(data):
-            raise ProtocolError("trailing bytes after TelemetryBatch")
-        return batch
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
-
-
+@message(("request_id", U64), ("batch", TelemetryBatch.codec))
 @dataclass(frozen=True)
 class ExportRequest:
     """Dispatcher envelope: the batch plus the attempt's request id."""
@@ -415,24 +248,8 @@ class ExportRequest:
     request_id: int
     batch: TelemetryBatch
 
-    def to_bytes(self) -> bytes:
-        return struct.pack(">Q", self.request_id) + self.batch.to_bytes()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ExportRequest":
-        try:
-            (request_id,) = struct.unpack_from(">Q", data, 0)
-        except struct.error as exc:
-            raise ProtocolError(f"malformed ExportRequest: {exc}") from exc
-        batch, offset = TelemetryBatch.decode(data, 8)
-        if offset != len(data):
-            raise ProtocolError("trailing bytes after ExportRequest")
-        return cls(request_id=request_id, batch=batch)
-
-    def byte_size(self) -> int:
-        return 8 + self.batch.byte_size()
-
-
+@message(("request_id", U64), ("seq", U64), ("accepted", BOOL))
 @dataclass(frozen=True)
 class ExportAck:
     """Collector acknowledgement: echoes the request id and batch seq."""
@@ -440,16 +257,3 @@ class ExportAck:
     request_id: int
     seq: int
     accepted: bool = True
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">QQB", self.request_id, self.seq, int(self.accepted))
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ExportAck":
-        if len(data) != 17:
-            raise ProtocolError(f"malformed ExportAck: {len(data)} bytes")
-        request_id, seq, accepted = struct.unpack(">QQB", data)
-        return cls(request_id=request_id, seq=seq, accepted=bool(accepted))
-
-    def byte_size(self) -> int:
-        return 17

@@ -25,25 +25,24 @@ Four artefacts flow between peers (§III-C, sharded):
   root, archived by Waku store nodes so a peer that missed events can
   restore foreign-shard state without replaying history.
 
-Each type serialises to bytes so it can travel as a
-:class:`~repro.waku.message.WakuMessage` payload on the tree-sync content
-topics and be archived/queried like any other Waku traffic.  Types
-sharing a topic (:class:`ShardUpdate`/:class:`ShardRemoval` on the shard
-topics, :class:`ShardRootDigest`/:class:`ShardRemoval` on the digest
-topic) are discriminated by their fixed wire sizes —
-:meth:`ShardRemoval.from_bytes` is strict about length, so decoding is
-unambiguous.
+Each type serialises to bytes (a field spec in :mod:`repro.codec`) so
+it can travel as a :class:`~repro.waku.message.WakuMessage` payload on
+the tree-sync content topics and be archived/queried like any other
+Waku traffic.  Every decoder is strict — trailing or missing bytes are a
+:class:`~repro.errors.ProtocolError` — so types sharing a topic
+(:class:`ShardUpdate`/:class:`ShardRemoval` on the shard topics,
+:class:`ShardRootDigest`/:class:`ShardRemoval` on the digest topic)
+decode unambiguously: a payload parses as exactly one of them.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-from repro.crypto.field import FIELD_BYTES, FieldElement
+from repro.codec import FIELD, U8, U16, U32, U64, Record, Repeated, message, row
+from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleProof
 from repro.crypto.optimized_merkle import TreeUpdate
-from repro.errors import ProtocolError
 
 #: Content topic carrying full :class:`ShardUpdate`s for one shard.
 def shard_topic(shard_id: int) -> str:
@@ -57,37 +56,30 @@ DIGEST_TOPIC = "/treesync/1/roots/proto"
 CHECKPOINT_TOPIC = "/treesync/1/checkpoint/proto"
 
 
-def encode_field(value: FieldElement) -> bytes:
-    return value.to_bytes()
-
-
-def decode_field(data: bytes, offset: int) -> tuple[FieldElement, int]:
-    end = offset + FIELD_BYTES
-    if end > len(data):
-        raise ProtocolError("truncated field element")
-    return FieldElement(int.from_bytes(data[offset:end], "big")), end
-
-
-def encode_proof(proof: MerkleProof) -> bytes:
-    head = struct.pack(">QH", proof.index, proof.depth)
-    return head + proof.leaf.to_bytes() + b"".join(s.to_bytes() for s in proof.siblings)
-
-
-def decode_proof(data: bytes, offset: int) -> tuple[MerkleProof, int]:
-    index, depth = struct.unpack_from(">QH", data, offset)
-    offset += 10
-    leaf, offset = decode_field(data, offset)
-    siblings = []
-    for _ in range(depth):
-        sibling, offset = decode_field(data, offset)
-        siblings.append(sibling)
+def _merkle_proof(
+    index: int, depth: int, leaf: FieldElement, siblings: tuple
+) -> MerkleProof:
     bits = tuple((index >> level) & 1 for level in range(depth))
-    return (
-        MerkleProof(leaf=leaf, index=index, siblings=tuple(siblings), path_bits=bits),
-        offset,
-    )
+    return MerkleProof(leaf=leaf, index=index, siblings=siblings, path_bits=bits)
 
 
+#: An authentication path: the leaf travels between ``depth`` and the
+#: ``depth`` siblings it counts; the path bits are the index's.
+MERKLE_PROOF = Record(
+    ("index", U64),
+    ("depth", U16),
+    ("leaf", FIELD),
+    ("siblings", Repeated(FIELD, count="depth")),
+    build=_merkle_proof,
+)
+
+
+@message(
+    ("seq", U64),
+    ("shard_id", U32),
+    ("new_shard_root", FIELD),
+    ("new_global_root", FIELD),
+)
 @dataclass(frozen=True)
 class ShardRootDigest:
     """What a foreign-shard peer needs from one membership event: the roots."""
@@ -97,37 +89,15 @@ class ShardRootDigest:
     new_shard_root: FieldElement
     new_global_root: FieldElement
 
-    def byte_size(self) -> int:
-        return 8 + 4 + 2 * FIELD_BYTES
 
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">QI", self.seq, self.shard_id)
-            + self.new_shard_root.to_bytes()
-            + self.new_global_root.to_bytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ShardRootDigest":
-        try:
-            seq, shard_id = struct.unpack_from(">QI", data, 0)
-            shard_root, offset = decode_field(data, 12)
-            global_root, _ = decode_field(data, offset)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed ShardRootDigest: {exc}") from exc
-        return cls(
-            seq=seq,
-            shard_id=shard_id,
-            new_shard_root=shard_root,
-            new_global_root=global_root,
-        )
-
-
-#: Fixed wire size of a :class:`ShardRemoval` (seq + shard + index header,
-#: removed leaf, shard root, global root).
-_REMOVAL_WIRE_BYTES = 20 + 3 * FIELD_BYTES
-
-
+@message(
+    ("seq", U64),
+    ("shard_id", U32),
+    ("index", U64),
+    ("removed_leaf", FIELD),
+    ("new_shard_root", FIELD),
+    ("new_global_root", FIELD),
+)
 @dataclass(frozen=True)
 class ShardRemoval:
     """One member deletion, scoped to its shard — the revocation artefact.
@@ -159,43 +129,39 @@ class ShardRemoval:
         """
         return self
 
-    def byte_size(self) -> int:
-        return _REMOVAL_WIRE_BYTES
 
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">QIQ", self.seq, self.shard_id, self.index)
-            + self.removed_leaf.to_bytes()
-            + self.new_shard_root.to_bytes()
-            + self.new_global_root.to_bytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ShardRemoval":
-        # Strict length: ShardUpdate and ShardRootDigest share topics with
-        # this type, so an exact size check keeps decoding unambiguous.
-        if len(data) != _REMOVAL_WIRE_BYTES:
-            raise ProtocolError(
-                f"malformed ShardRemoval: expected {_REMOVAL_WIRE_BYTES} "
-                f"bytes, got {len(data)}"
-            )
-        try:
-            seq, shard_id, index = struct.unpack_from(">QIQ", data, 0)
-            removed_leaf, offset = decode_field(data, 20)
-            shard_root, offset = decode_field(data, offset)
-            global_root, _ = decode_field(data, offset)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed ShardRemoval: {exc}") from exc
-        return cls(
-            seq=seq,
-            shard_id=shard_id,
-            index=index,
-            removed_leaf=removed_leaf,
-            new_shard_root=shard_root,
-            new_global_root=global_root,
-        )
+def _shard_update(
+    seq: int,
+    shard_id: int,
+    index: int,
+    new_leaf: FieldElement,
+    shard_root: FieldElement,
+    global_root: FieldElement,
+    path: MerkleProof,
+) -> "ShardUpdate":
+    # The global root is stored once: it doubles as the TreeUpdate's
+    # new_root.
+    return ShardUpdate(
+        seq=seq,
+        shard_id=shard_id,
+        update=TreeUpdate(
+            index=index, new_leaf=new_leaf, path=path, new_root=global_root
+        ),
+        new_shard_root=shard_root,
+        new_global_root=global_root,
+    )
 
 
+@message(
+    ("seq", U64),
+    ("shard_id", U32),
+    ("update.index", U64),
+    ("update.new_leaf", FIELD),
+    ("new_shard_root", FIELD),
+    ("new_global_root", FIELD),
+    ("update.path", MERKLE_PROOF),
+    build=_shard_update,
+)
 @dataclass(frozen=True)
 class ShardUpdate:
     """One membership event scoped to its shard.
@@ -221,43 +187,15 @@ class ShardUpdate:
             new_global_root=self.new_global_root,
         )
 
-    def byte_size(self) -> int:
-        # Mirrors to_bytes() exactly: (seq, shard, index) header, the new
-        # leaf, both roots (the global root is stored once — it doubles as
-        # the TreeUpdate's new_root on decode), and the encoded path.
-        return 20 + 3 * FIELD_BYTES + 10 + (1 + self.update.path.depth) * FIELD_BYTES
 
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">QIQ", self.seq, self.shard_id, self.update.index)
-            + self.update.new_leaf.to_bytes()
-            + self.new_shard_root.to_bytes()
-            + self.new_global_root.to_bytes()
-            + encode_proof(self.update.path)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ShardUpdate":
-        try:
-            seq, shard_id, index = struct.unpack_from(">QIQ", data, 0)
-            offset = 20
-            new_leaf, offset = decode_field(data, offset)
-            shard_root, offset = decode_field(data, offset)
-            global_root, offset = decode_field(data, offset)
-            path, _ = decode_proof(data, offset)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed ShardUpdate: {exc}") from exc
-        return cls(
-            seq=seq,
-            shard_id=shard_id,
-            update=TreeUpdate(
-                index=index, new_leaf=new_leaf, path=path, new_root=global_root
-            ),
-            new_shard_root=shard_root,
-            new_global_root=global_root,
-        )
-
-
+@message(
+    ("seq", U64),
+    ("depth", U8),
+    ("shard_depth", U8),
+    ("leaf_count", U64),
+    ("shard_roots", Repeated(row(U32, FIELD), count=U32)),
+    ("global_root", FIELD),
+)
 @dataclass(frozen=True)
 class TreeCheckpoint:
     """Snapshot of the forest's commitment state at event ``seq``.
@@ -273,47 +211,3 @@ class TreeCheckpoint:
     leaf_count: int
     shard_roots: tuple[tuple[int, FieldElement], ...]
     global_root: FieldElement
-
-    def byte_size(self) -> int:
-        return 8 + 1 + 1 + 8 + 4 + len(self.shard_roots) * (4 + FIELD_BYTES) + FIELD_BYTES
-
-    def to_bytes(self) -> bytes:
-        out = [
-            struct.pack(
-                ">QBBQI",
-                self.seq,
-                self.depth,
-                self.shard_depth,
-                self.leaf_count,
-                len(self.shard_roots),
-            )
-        ]
-        for shard_id, root in self.shard_roots:
-            out.append(struct.pack(">I", shard_id) + root.to_bytes())
-        out.append(self.global_root.to_bytes())
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TreeCheckpoint":
-        try:
-            seq, depth, shard_depth, leaf_count, count = struct.unpack_from(
-                ">QBBQI", data, 0
-            )
-            offset = 22
-            roots = []
-            for _ in range(count):
-                (shard_id,) = struct.unpack_from(">I", data, offset)
-                offset += 4
-                root, offset = decode_field(data, offset)
-                roots.append((shard_id, root))
-            global_root, _ = decode_field(data, offset)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed TreeCheckpoint: {exc}") from exc
-        return cls(
-            seq=seq,
-            depth=depth,
-            shard_depth=shard_depth,
-            leaf_count=leaf_count,
-            shard_roots=tuple(roots),
-            global_root=global_root,
-        )

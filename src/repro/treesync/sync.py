@@ -86,6 +86,21 @@ class TreeSyncStats:
     removals_applied: int = counted("treesync_removals_total")
 
 
+def _decode_by_seq(messages: Sequence[WakuMessage], *types: type) -> list:
+    """Decode each payload as the one of ``types`` that accepts it, in seq
+    order.  The decoders are strict, so at most one accepts a payload;
+    payloads none accepts are skipped."""
+    decoded = []
+    for message in messages:
+        for wire_type in types:
+            try:
+                decoded.append(wire_type.from_bytes(message.payload))
+                break
+            except ProtocolError:
+                continue
+    return sorted(decoded, key=lambda item: item.seq)
+
+
 class ShardSyncManager:
     """One peer's shard-scoped view of the identity forest.
 
@@ -509,21 +524,8 @@ class ShardSyncManager:
             )
 
         def have_home(messages: list[WakuMessage]) -> None:
-            updates: list[ShardUpdate | ShardRemoval] = []
-            for message in messages:
-                # The shard topic carries registrations (ShardUpdate) and
-                # deletions (ShardRemoval); the removal's strict length
-                # check keeps the two decodes unambiguous.
-                try:
-                    updates.append(ShardUpdate.from_bytes(message.payload))
-                    continue
-                except ProtocolError:
-                    pass
-                try:
-                    updates.append(ShardRemoval.from_bytes(message.payload))
-                except ProtocolError:
-                    continue
-            state["home"] = sorted(updates, key=lambda u: u.seq)
+            # The shard topic carries registrations and deletions.
+            state["home"] = _decode_by_seq(messages, ShardUpdate, ShardRemoval)
             checkpoint = state["checkpoint"]
             floor = max(
                 self.seq,
@@ -539,25 +541,11 @@ class ShardSyncManager:
             )
 
         def have_digests(messages: list[WakuMessage]) -> None:
-            digests: list[ShardRootDigest | ShardRemoval] = []
-            for message in messages:
-                # Removals travel the digest feed as themselves (their
-                # window-collapse semantics must survive projection); try
-                # the strict-length removal decode first — a removal
-                # payload would otherwise *mis*-decode as a digest, since
-                # ShardRootDigest ignores trailing bytes.
-                try:
-                    digests.append(ShardRemoval.from_bytes(message.payload))
-                    continue
-                except ProtocolError:
-                    pass
-                try:
-                    digests.append(ShardRootDigest.from_bytes(message.payload))
-                except ProtocolError:
-                    continue
+            # Removals travel the digest feed as themselves (their
+            # window-collapse semantics must survive projection).
+            ordered = _decode_by_seq(messages, ShardRootDigest, ShardRemoval)
             checkpoint = state["checkpoint"]
             home_updates = state["home"]
-            ordered = sorted(digests, key=lambda d: d.seq)
             try:
                 root = self._replay_archive(
                     checkpoint,  # type: ignore[arg-type]

@@ -15,21 +15,21 @@ Two request/response pairs travel on the ``witness`` protocol channel
   rebuilds the shard tree locally and compares against the root its own
   accepted checkpoint+digest stream commits to.
 
-Every type serialises to bytes (the same conventions as the tree-sync
-artefacts) so the protocol could ride real transport frames; the
-simulated network carries the dataclasses and bills ``byte_size()``.
+Every type serialises to bytes (a field spec in :mod:`repro.codec`,
+sharing the authentication-path layout of the tree-sync artefacts) so
+the protocol could ride real transport frames; the simulated network
+carries the dataclasses and bills ``byte_size()``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-from repro.crypto.field import FIELD_BYTES, FieldElement
+from repro.codec import BOOL, FIELD, U8, U32, U64, Optional, Repeated, message, row
+from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleProof
-from repro.errors import ProtocolError
 from repro.telemetry.disttrace import SpanContext
-from repro.treesync.messages import decode_field, decode_proof, encode_proof
+from repro.treesync.messages import MERKLE_PROOF
 
 #: Protocol channel witness and snapshot *requests* travel on.
 WITNESS_PROTOCOL = "witness"
@@ -41,6 +41,11 @@ WITNESS_PROTOCOL = "witness"
 WITNESS_REPLY_PROTOCOL = "witness-reply"
 
 
+@message(
+    ("request_id", U64),
+    ("index", U64),
+    ("trace", Optional(SpanContext.codec, trailing=True)),
+)
 @dataclass(frozen=True)
 class WitnessRequest:
     """Ask for the authentication path of the leaf at global ``index``.
@@ -57,25 +62,13 @@ class WitnessRequest:
     index: int
     trace: "SpanContext | None" = None
 
-    def byte_size(self) -> int:
-        return 16 + (0 if self.trace is None else self.trace.byte_size())
 
-    def to_bytes(self) -> bytes:
-        head = struct.pack(">QQ", self.request_id, self.index)
-        if self.trace is None:
-            return head
-        return head + self.trace.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "WitnessRequest":
-        try:
-            request_id, index = struct.unpack_from(">QQ", data, 0)
-        except struct.error as exc:
-            raise ProtocolError(f"malformed WitnessRequest: {exc}") from exc
-        trace = SpanContext.from_bytes(data[16:]) if len(data) > 16 else None
-        return cls(request_id=request_id, index=index, trace=trace)
-
-
+@message(
+    ("request_id", U64),
+    ("found", BOOL),
+    ("seq", U64),
+    ("proof", Optional(MERKLE_PROOF)),
+)
 @dataclass(frozen=True)
 class WitnessResponse:
     """The spliced full-depth path, or a miss (``found=False``).
@@ -90,29 +83,8 @@ class WitnessResponse:
     seq: int = 0
     proof: MerkleProof | None = None
 
-    def byte_size(self) -> int:
-        proof_bytes = (
-            0 if self.proof is None else 10 + (1 + self.proof.depth) * FIELD_BYTES
-        )
-        return 18 + proof_bytes
 
-    def to_bytes(self) -> bytes:
-        head = struct.pack(">QBQ", self.request_id, int(self.found), self.seq)
-        if self.proof is None:
-            return head + struct.pack(">B", 0)
-        return head + struct.pack(">B", 1) + encode_proof(self.proof)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "WitnessResponse":
-        try:
-            request_id, found, seq = struct.unpack_from(">QBQ", data, 0)
-            (has_proof,) = struct.unpack_from(">B", data, 17)
-            proof = decode_proof(data, 18)[0] if has_proof else None
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed WitnessResponse: {exc}") from exc
-        return cls(request_id=request_id, found=bool(found), seq=seq, proof=proof)
-
-
+@message(("request_id", U64), ("shard_id", U32))
 @dataclass(frozen=True)
 class SnapshotRequest:
     """Ask for the leaf content of one shard (late-joiner bootstrap)."""
@@ -120,21 +92,15 @@ class SnapshotRequest:
     request_id: int
     shard_id: int
 
-    def byte_size(self) -> int:
-        return 12
 
-    def to_bytes(self) -> bytes:
-        return struct.pack(">QI", self.request_id, self.shard_id)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SnapshotRequest":
-        try:
-            request_id, shard_id = struct.unpack_from(">QI", data, 0)
-        except struct.error as exc:
-            raise ProtocolError(f"malformed SnapshotRequest: {exc}") from exc
-        return cls(request_id=request_id, shard_id=shard_id)
-
-
+@message(
+    ("request_id", U64),
+    ("found", BOOL),
+    ("shard_id", U32),
+    ("shard_depth", U8),
+    ("seq", U64),
+    ("leaves", Repeated(row(U32, FIELD), count=U32)),
+)
 @dataclass(frozen=True)
 class SnapshotResponse:
     """Sparse leaf content of one shard at the server's event ``seq``.
@@ -152,46 +118,3 @@ class SnapshotResponse:
     shard_depth: int = 0
     seq: int = 0
     leaves: tuple[tuple[int, FieldElement], ...] = ()
-
-    def byte_size(self) -> int:
-        return 26 + len(self.leaves) * (4 + FIELD_BYTES)
-
-    def to_bytes(self) -> bytes:
-        out = [
-            struct.pack(
-                ">QBIBQI",
-                self.request_id,
-                int(self.found),
-                self.shard_id,
-                self.shard_depth,
-                self.seq,
-                len(self.leaves),
-            )
-        ]
-        for local, leaf in self.leaves:
-            out.append(struct.pack(">I", local) + leaf.to_bytes())
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SnapshotResponse":
-        try:
-            request_id, found, shard_id, shard_depth, seq, count = struct.unpack_from(
-                ">QBIBQI", data, 0
-            )
-            offset = 26
-            leaves = []
-            for _ in range(count):
-                (local,) = struct.unpack_from(">I", data, offset)
-                offset += 4
-                leaf, offset = decode_field(data, offset)
-                leaves.append((local, leaf))
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed SnapshotResponse: {exc}") from exc
-        return cls(
-            request_id=request_id,
-            found=bool(found),
-            shard_id=shard_id,
-            shard_depth=shard_depth,
-            seq=seq,
-            leaves=tuple(leaves),
-        )

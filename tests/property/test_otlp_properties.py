@@ -1,7 +1,7 @@
 """Property-based tests for the fleet-telemetry wire path.
 
-Three algebraic claims the collector architecture rests on, plus one
-robustness claim:
+Three algebraic claims the collector architecture rests on, plus two
+wire-codec claims:
 
 * **Wire identity** — every :class:`TelemetryBatch` built from valid
   metric deltas and span records survives ``to_bytes``/``from_bytes``
@@ -20,6 +20,9 @@ robustness claim:
   byte-mutated valid encodings, only ever make the telemetry, trace,
   witness, tree-sync and message wire decoders raise
   :class:`~repro.errors.ProtocolError`.
+* **Decoding is canonical** — for every wire type, valid values round
+  trip, ``byte_size()`` is the encoded length, and whatever bytes a
+  decoder accepts re-encode to exactly those bytes.
 """
 
 from hypothesis import given, settings
@@ -225,106 +228,99 @@ waku_messages = st.builds(
 )
 
 
-def encoded(values):
-    return values.map(lambda value: value.to_bytes())
+def encode(value) -> bytes:
+    if isinstance(value, WakuMessage):
+        return encode_message(value)
+    return value.to_bytes()
 
 
-#: Wire type -> (strict decoder, strategy of valid encodings).
+#: Wire type -> (strict decoder, strategy of valid values).
 WIRE_TYPES = {
-    "SpanContext": (SpanContext.from_bytes, encoded(span_contexts)),
-    "SpanRecord": (SpanRecord.from_bytes, encoded(span_records)),
-    "TelemetryBatch": (TelemetryBatch.from_bytes, encoded(batches)),
+    "CounterDelta": (CounterDelta.from_bytes, counter_deltas),
+    "GaugeValue": (GaugeValue.from_bytes, gauge_values),
+    "HistogramDelta": (HistogramDelta.from_bytes, histogram_deltas),
+    "SpanContext": (SpanContext.from_bytes, span_contexts),
+    "SpanRecord": (SpanRecord.from_bytes, span_records),
+    "TelemetryBatch": (TelemetryBatch.from_bytes, batches),
     "ExportRequest": (
         ExportRequest.from_bytes,
-        encoded(st.builds(ExportRequest, request_id=u64, batch=batches)),
+        st.builds(ExportRequest, request_id=u64, batch=batches),
     ),
     "ExportAck": (
         ExportAck.from_bytes,
-        encoded(st.builds(ExportAck, request_id=u64, seq=u64, accepted=st.booleans())),
+        st.builds(ExportAck, request_id=u64, seq=u64, accepted=st.booleans()),
     ),
     "WitnessRequest": (
         WitnessRequest.from_bytes,
-        encoded(
-            st.builds(
-                WitnessRequest,
-                request_id=u64,
-                index=u64,
-                trace=st.none() | span_contexts,
-            )
+        st.builds(
+            WitnessRequest,
+            request_id=u64,
+            index=u64,
+            trace=st.none() | span_contexts,
         ),
     ),
     "WitnessResponse": (
         WitnessResponse.from_bytes,
-        encoded(
-            st.builds(
-                WitnessResponse,
-                request_id=u64,
-                found=st.booleans(),
-                seq=u64,
-                proof=st.none() | merkle_proofs(),
-            )
+        st.builds(
+            WitnessResponse,
+            request_id=u64,
+            found=st.booleans(),
+            seq=u64,
+            proof=st.none() | merkle_proofs(),
         ),
     ),
     "SnapshotRequest": (
         SnapshotRequest.from_bytes,
-        encoded(st.builds(SnapshotRequest, request_id=u64, shard_id=u32)),
+        st.builds(SnapshotRequest, request_id=u64, shard_id=u32),
     ),
     "SnapshotResponse": (
         SnapshotResponse.from_bytes,
-        encoded(
-            st.builds(
-                SnapshotResponse,
-                request_id=u64,
-                found=st.booleans(),
-                shard_id=u32,
-                shard_depth=st.integers(min_value=0, max_value=255),
-                seq=u64,
-                leaves=field_pairs,
-            )
+        st.builds(
+            SnapshotResponse,
+            request_id=u64,
+            found=st.booleans(),
+            shard_id=u32,
+            shard_depth=st.integers(min_value=0, max_value=255),
+            seq=u64,
+            leaves=field_pairs,
         ),
     ),
     "ShardRootDigest": (
         ShardRootDigest.from_bytes,
-        encoded(
-            st.builds(
-                ShardRootDigest,
-                seq=u64,
-                shard_id=u32,
-                new_shard_root=field_elements,
-                new_global_root=field_elements,
-            )
+        st.builds(
+            ShardRootDigest,
+            seq=u64,
+            shard_id=u32,
+            new_shard_root=field_elements,
+            new_global_root=field_elements,
         ),
     ),
     "ShardRemoval": (
         ShardRemoval.from_bytes,
-        encoded(
-            st.builds(
-                ShardRemoval,
-                seq=u64,
-                shard_id=u32,
-                index=u64,
-                removed_leaf=field_elements,
-                new_shard_root=field_elements,
-                new_global_root=field_elements,
-            )
+        st.builds(
+            ShardRemoval,
+            seq=u64,
+            shard_id=u32,
+            index=u64,
+            removed_leaf=field_elements,
+            new_shard_root=field_elements,
+            new_global_root=field_elements,
         ),
     ),
-    "ShardUpdate": (ShardUpdate.from_bytes, encoded(shard_updates())),
+    "ShardUpdate": (ShardUpdate.from_bytes, shard_updates()),
     "TreeCheckpoint": (
         TreeCheckpoint.from_bytes,
-        encoded(
-            st.builds(
-                TreeCheckpoint,
-                seq=u64,
-                depth=st.integers(min_value=0, max_value=255),
-                shard_depth=st.integers(min_value=0, max_value=255),
-                leaf_count=u64,
-                shard_roots=field_pairs,
-                global_root=field_elements,
-            )
+        st.builds(
+            TreeCheckpoint,
+            seq=u64,
+            depth=st.integers(min_value=0, max_value=255),
+            shard_depth=st.integers(min_value=0, max_value=255),
+            leaf_count=u64,
+            shard_roots=field_pairs,
+            global_root=field_elements,
         ),
     ),
-    "decode_message": (decode_message, waku_messages.map(encode_message)),
+    "WakuMessage": (decode_message, waku_messages),
 }
 
 
@@ -346,12 +342,35 @@ def corrupted(draw, encodings) -> bytes:
 @given(st.data())
 def test_decoders_raise_only_protocol_error(data):
     name = data.draw(st.sampled_from(sorted(WIRE_TYPES)), label="type")
-    decode, encodings = WIRE_TYPES[name]
+    decode, values = WIRE_TYPES[name]
+    encodings = values.map(encode)
     raw = data.draw(st.binary(max_size=96) | corrupted(encodings), label="bytes")
     try:
         decode(raw)
     except ProtocolError:
         pass
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_every_wire_type_decodes_canonically(data):
+    name = data.draw(st.sampled_from(sorted(WIRE_TYPES)), label="type")
+    decode, values = WIRE_TYPES[name]
+    value = data.draw(values, label="value")
+    encoding = encode(value)
+    assert decode(encoding) == value
+    if name != "WakuMessage":  # its byte_size() omits the 8 B framing
+        assert len(encoding) == value.byte_size()
+    mangled = st.binary(max_size=96) | corrupted(st.just(encoding))
+    raw = data.draw(mangled, label="bytes")
+    try:
+        decoded = decode(raw)
+    except ProtocolError:
+        return
+    # Strict decoding: any accepted byte string is the one encoding of
+    # what it decodes to (no ignored trailing bytes, reduced field
+    # elements, loose bool bytes or unknown flag bits).
+    assert encode(decoded) == raw
 
 
 # -- fold exactness at arbitrary cut points -----------------------------------

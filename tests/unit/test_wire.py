@@ -58,6 +58,13 @@ class TestRoundtrip:
         message = WakuMessage(payload=b"x", content_topic="t", ephemeral=True)
         assert decode_message(encode_message(message)).ephemeral
 
+    def test_millisecond_timestamps_round_trip_exactly(self):
+        # 1.011 * 1000 == 1010.9999999999999: truncation would lose 1 ms.
+        message = WakuMessage(payload=b"x", content_topic="t", timestamp=1.011)
+        encoded = encode_message(message)
+        assert int.from_bytes(encoded[-9:-1], "big") == 1011
+        assert decode_message(encoded) == message
+
     def test_empty_payload(self):
         message = WakuMessage(payload=b"", content_topic="t")
         assert decode_message(encode_message(message)).payload == b""
@@ -113,6 +120,13 @@ class TestMalformedInput:
     def test_bad_version(self):
         encoded = bytearray(encode_message(WakuMessage(payload=b"x", content_topic="t")))
         encoded[1] = 99
+        with pytest.raises(ProtocolError):
+            decode_message(bytes(encoded))
+
+    def test_reserved_flag_bits_rejected(self):
+        message = WakuMessage(payload=b"x", content_topic="t")
+        encoded = bytearray(encode_message(message))
+        encoded[-1] |= 0x04
         with pytest.raises(ProtocolError):
             decode_message(bytes(encoded))
 
