@@ -66,6 +66,10 @@ def _measure_chunk(engine, pairs) -> float:
     return time.perf_counter() - start
 
 
+def _work(engine) -> tuple[int, int]:
+    return engine.stats.hashes, engine.stats.permutations
+
+
 def test_e18_crypto_hotpath(report_sink, snapshot_sink):
     backends = available_backends()
     fast_backends = [name for name in backends if name != "reference"]
@@ -77,6 +81,7 @@ def test_e18_crypto_hotpath(report_sink, snapshot_sink):
     # -- hashes/sec: interleaved paired chunks ------------------------------
     ratios: dict[str, list[float]] = {name: [] for name in fast_backends}
     rates: dict[str, list[float]] = {name: [] for name in backends}
+    work_before = {name: _work(get_engine(name)) for name in backends}
     for _ in range(ROUNDS):
         ref_seconds = _measure_chunk(reference, pairs)
         rates["reference"].append(CHUNK / ref_seconds)
@@ -84,6 +89,14 @@ def test_e18_crypto_hotpath(report_sink, snapshot_sink):
             seconds = _measure_chunk(get_engine(name), pairs)
             rates[name].append(CHUNK / seconds)
             ratios[name].append(ref_seconds / seconds)
+    # Every timed hash must be a computed one: the same pairs repeat every
+    # round, so a memo on this path would inflate the speedup gate.
+    for name in backends:
+        hashed, computed = (
+            after - before
+            for after, before in zip(_work(get_engine(name)), work_before[name])
+        )
+        assert computed == hashed == ROUNDS * CHUNK, (name, hashed, computed)
 
     # -- depth-20 from_leaves and prover wall time, per backend -------------
     leaves = [FieldElement(i + 1) for i in range(BUILD_LEAVES)]

@@ -31,6 +31,20 @@ Every engine produces **bit-identical digests** (pinned by the golden
 vectors in ``tests/unit/test_poseidon_vectors.py`` and the hypothesis
 equivalence suite), so backends are freely interchangeable mid-deployment.
 
+Every simulated peer keeps its own copy of the membership tree and replays
+the same contract events into it, so one process would compute each new
+node hash once per peer.  :class:`IntEngine`'s per-node :attr:`hash2` (and so
+:class:`Gmpy2Engine`'s) therefore keeps a bounded, content-addressed memo
+keyed by the input pair ``(int(left), int(right))``: up to
+:data:`HASH2_MEMO_SIZE` entries, cleared when full.  Poseidon is a pure
+function and :class:`FieldElement` is immutable, so a hit returns exactly
+the digest a computation would.  :class:`ReferenceEngine` (the oracle) and
+the batched :meth:`~PoseidonEngine.hash_many` (each node of a batched
+build is hashed once anyway) stay unmemoized.  :class:`EngineStats` keeps
+the two costs apart: ``hashes`` counts logical hashes (memo hits
+included), ``permutations`` the permutations actually run, and
+``memo_hits`` the ``hash2`` calls answered from the memo.
+
 Selection: ``REPRO_CRYPTO_BACKEND`` (``reference`` / ``int`` / ``gmpy2`` /
 ``auto``) or an explicit :func:`get_engine` call; ``auto`` (the default)
 picks gmpy2 when importable, else the int engine.  :func:`use_backend`
@@ -77,6 +91,12 @@ except ImportError:  # pragma: no cover
 
 _P = FIELD_MODULUS
 
+#: Distinct input pairs :class:`IntEngine`'s ``hash2`` memo holds before it
+#: is cleared (a fleet's per-run working set stays well below this).
+#: Concurrent callers may each overshoot it by one entry; a racing insert
+#: or clear only ever costs a recomputation.
+HASH2_MEMO_SIZE = 4096
+
 
 def _to_int(value: FieldElement | int) -> int:
     if isinstance(value, FieldElement):
@@ -88,7 +108,14 @@ def _to_int(value: FieldElement | int) -> int:
 class EngineStats:
     """Cumulative work counters (exported by
     :func:`publish_engine_telemetry` as ``crypto_hashes_total`` /
-    ``crypto_permutations_total`` / ``crypto_hash_seconds``).
+    ``crypto_permutations_total`` / ``crypto_hash_memo_hits_total`` /
+    ``crypto_hash_seconds``).
+
+    ``hashes`` counts logical hashes, memo hits included, so per-event
+    hash figures do not depend on what else the process hashed;
+    ``permutations`` counts permutations actually run; ``memo_hits``
+    counts ``hash2`` calls answered from the memo; ``seconds`` is the
+    time spent computing.
 
     Plain attribute bumps: under ``ThreadPoolCryptoExecutor`` concurrent
     increments may race and undercount slightly — acceptable for
@@ -97,6 +124,7 @@ class EngineStats:
 
     hashes: int = counted("crypto_hashes_total")
     permutations: int = counted("crypto_permutations_total")
+    memo_hits: int = counted("crypto_hash_memo_hits_total")
     batched_calls: int = 0
     seconds: float = counted("crypto_hash_seconds", default=0.0)
 
@@ -436,6 +464,8 @@ class IntEngine(PoseidonEngine):
     width and :meth:`_compile` verifies against the reference oracle
     before first use.  No lists, no per-round allocation, no
     ``FieldElement`` until the caller-facing wrappers at the end.
+    :attr:`hash2` answers repeated input pairs from a bounded memo
+    (:data:`HASH2_MEMO_SIZE` entries, cleared when full).
     """
 
     backend = "int"
@@ -532,16 +562,24 @@ class IntEngine(PoseidonEngine):
     def _make_hash2(self) -> Callable[..., FieldElement]:
         stats = self.stats
         engine = self
+        memo: dict[tuple[int, int], FieldElement] = {}
+        self._memo = memo
 
         def hash2(left: FieldElement | int, right: FieldElement | int) -> FieldElement:
+            key = (_to_int(left), _to_int(right))
+            stats.hashes += 1
+            digest = memo.get(key)
+            if digest is not None:
+                stats.memo_hits += 1
+                return digest
             start = time.perf_counter()
             fn = engine._compiled.get((3, 2, True))
             if fn is None:
                 fn = engine._compile(3, 2, True)
-            digest = FieldElement(
-                int(fn(_to_int(left), _to_int(right), engine._pnative))
-            )
-            stats.hashes += 1
+            digest = FieldElement(int(fn(*key, engine._pnative)))
+            if len(memo) >= HASH2_MEMO_SIZE:
+                memo.clear()
+            memo[key] = digest
             stats.permutations += 1
             stats.seconds += time.perf_counter() - start
             return digest
@@ -699,7 +737,8 @@ def publish_engine_telemetry(registry) -> None:
     """Expose every used engine's work counters in a metrics registry.
 
     Binds ``crypto_hashes_total{backend=}``,
-    ``crypto_permutations_total{backend=}`` and
+    ``crypto_permutations_total{backend=}``,
+    ``crypto_hash_memo_hits_total{backend=}`` and
     ``crypto_hash_seconds{backend=}`` to each engine's
     :class:`EngineStats` (read at collect time; binding twice is a
     no-op), so benchmark snapshots (E16/E18) expose the hot path.

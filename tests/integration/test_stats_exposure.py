@@ -83,6 +83,7 @@ SERIES = {
     "engine": {
         "hashes": ("crypto_hashes_total", {}),
         "permutations": ("crypto_permutations_total", {}),
+        "memo_hits": ("crypto_hash_memo_hits_total", {}),
         "seconds": ("crypto_hash_seconds", {}),
     },
 }

@@ -56,6 +56,19 @@ def test_hash_many_equivalence(raw_pairs):
         assert get_engine(backend).hash_many(pairs) == expected, backend
 
 
+@given(field_ints, field_ints, st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_repeated_hash2_returns_reference_digest(left, right, wrap):
+    # The second call is answered from the memo (when the backend has
+    # one); an unreduced int input must land on the same entry.
+    expected = get_engine("reference").hash2(left, right)
+    again = (left + FIELD_MODULUS, right) if wrap else (FieldElement(left), right)
+    for backend in BACKENDS:
+        engine = get_engine(backend)
+        assert engine.hash2(left, right) == expected, backend
+        assert engine.hash2(*again) == expected, backend
+
+
 @given(st.lists(st.integers(min_value=1, max_value=FIELD_MODULUS - 1), min_size=1, max_size=16))
 @settings(max_examples=20, deadline=None)
 def test_from_leaves_root_identical_across_backends(raw_leaves):

@@ -6,6 +6,9 @@ resolves to :func:`repro.crypto.engine.default_engine`.  These tests pin the
 selection rules and the bit-identity guarantee between backends.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import repro.crypto.engine as engine_mod
@@ -155,15 +158,86 @@ def test_merkle_roots_identical_across_backends():
 # -- stats and telemetry -----------------------------------------------------
 
 
+def _counts(engine):
+    stats = engine.stats
+    return stats.hashes, stats.permutations, stats.memo_hits
+
+
+def _since(engine, before):
+    """(hashes, permutations, memo_hits) counted since ``before``."""
+    return tuple(a - b for a, b in zip(_counts(engine), before))
+
+
 def test_stats_count_work():
     engine = get_engine("int")
-    before = (engine.stats.hashes, engine.stats.permutations)
-    engine.hash2(FieldElement(1), FieldElement(2))
+    engine._memo.clear()  # (1, 2) is fresh whatever ran before
+    before = _counts(engine)
+    first = engine.hash2(FieldElement(1), FieldElement(2))
+    assert engine.hash2(1, 2) == first == poseidon_hash([1, 2])
+    assert _since(engine, before) == (2, 1, 1)
+    # The batched API is never memoized: one permutation per pair.
+    before = _counts(engine)
     engine.hash_many([(FieldElement(3), FieldElement(4))] * 5)
-    assert engine.stats.hashes == before[0] + 6
-    assert engine.stats.permutations == before[1] + 6
+    assert _since(engine, before) == (5, 5, 0)
     assert engine.stats.seconds > 0
     assert engine_stats()["int"] is engine.stats
+
+
+def test_hash2_memo_stays_bounded_and_correct():
+    engine = get_engine("int")
+    engine._memo.clear()
+    pairs = [(i, i + 1) for i in range(engine_mod.HASH2_MEMO_SIZE + 10)]
+    expected = engine.hash_many(pairs)
+    before = engine.stats.permutations
+    assert [engine.hash2(l, r) for l, r in pairs] == expected
+    assert engine.stats.permutations == before + len(pairs)
+    assert len(engine._memo) <= engine_mod.HASH2_MEMO_SIZE
+    # The memo was cleared when full: the first pair is computed again,
+    # the last one is still answered from the memo.
+    before = _counts(engine)
+    assert engine.hash2(*pairs[0]) == expected[0]
+    assert engine.hash2(*pairs[-1]) == expected[-1]
+    assert _since(engine, before) == (2, 1, 1)
+
+
+def test_hash2_memo_under_threads(monkeypatch):
+    # Concurrent callers (ThreadPoolCryptoExecutor lanes) share the memo;
+    # a small cap makes clears race with inserts.  A lost insert only
+    # costs a recomputation, and the size overshoots the cap by at most
+    # one entry per concurrent caller.
+    workers, cap = 4, 16
+    monkeypatch.setattr(engine_mod, "HASH2_MEMO_SIZE", cap)
+    engine = get_engine("int")
+    engine._memo.clear()
+    pairs = [(i % 40, 7) for i in range(400)]
+    expected = engine.hash_many(pairs)
+    sizes = []
+
+    def worker():
+        for (left, right), digest in zip(pairs, expected):
+            assert engine.hash2(left, right) == digest
+            sizes.append(len(engine._memo))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(worker) for _ in range(workers)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(sizes) == workers * len(pairs)
+    assert max(sizes) <= cap + workers
+
+
+def test_reference_engine_is_not_memoized():
+    engine = get_engine("reference")
+    before = engine.stats.permutations
+    engine.hash2(1, 2)
+    engine.hash2(1, 2)
+    assert engine.stats.permutations == before + 2
+    assert engine.stats.memo_hits == 0
 
 
 def test_publish_engine_telemetry_mirrors_counters():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
+from repro.crypto.engine import use_backend
 from repro.errors import ProtocolError
 from repro.net.clock import DriftModel
 from repro.net.topology import small_world
@@ -95,3 +96,20 @@ class TestOperation:
     def test_peer_ids_sorted(self):
         dep = RLNDeployment.create(peer_count=4, degree=2, seed=9, config=RLNConfig(tree_depth=DEPTH))
         assert dep.peer_ids() == sorted(dep.peer_ids())
+
+
+class TestSetupCost:
+    def test_register_all_hashes_each_tree_node_once_per_process(self):
+        # Every peer replays the same MemberRegistered stream into its own
+        # tree; the engine's hash2 memo makes the fleet pay for each new
+        # node hash once, not once per peer (without it: ~50k here).
+        peers = 60
+        with use_backend("int") as engine:
+            engine._memo.clear()
+            dep = RLNDeployment.create(peer_count=peers, seed=1)
+            before = engine.stats.permutations
+            dep.register_all()
+            computed = engine.stats.permutations - before
+        assert computed <= 2 * peers * dep.config.tree_depth
+        assert dep.contract.member_count() == peers
+        assert len({peer.group.root for peer in dep.peers.values()}) == 1
